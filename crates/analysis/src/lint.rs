@@ -15,8 +15,9 @@
 //!   `Vec::new(` in those same request paths: the byte pipeline is
 //!   zero-allocation in steady state (in-place folds, gather payloads,
 //!   pooled scratch), so a fresh buffer on the request path is either a
-//!   regression or a legitimately cold path that belongs in the
-//!   `analysis.toml` allowlist with a reason.
+//!   regression or a legitimately cold path, which carries an
+//!   `// alloc-ok: <reason>` marker on the flagged line or the
+//!   comment line directly above it.
 //! * **`lock-order-ascending`** — any client file issuing
 //!   `Request::ParityReadLock` (the §5.1 parity-lock acquisition) must
 //!   carry the ascending-group-order guard
@@ -272,6 +273,22 @@ fn cfg_test_lines(lines: &[&str]) -> Vec<bool> {
     in_test
 }
 
+/// Marker that waives `no-alloc-request-path` at one site.
+const ALLOC_OK: &str = "alloc-ok:";
+
+/// Does line `idx` carry an `// alloc-ok: <reason>` marker with a
+/// non-empty reason, either in its own trailing comment or on a
+/// comment-only line directly above it?
+fn alloc_marked(lines: &[&str], idx: usize) -> bool {
+    let marked = |line: &str| {
+        comment_start(line)
+            .and_then(|i| line[i..].split_once(ALLOC_OK))
+            .is_some_and(|(_, reason)| !reason.trim().is_empty())
+    };
+    let above_is_comment = idx > 0 && lines[idx - 1].trim_start().starts_with("//");
+    marked(lines[idx]) || above_is_comment && marked(lines[idx - 1])
+}
+
 /// Is this file part of a request path for `no-unwrap-request-path`?
 /// Covers the core protocol state machines and the live transport's
 /// client engine (PR 2: a lost or duplicated reply must surface as
@@ -332,8 +349,8 @@ fn lint_file(rel: &str, text: &str, cfg: &Config, report: &mut LintReport) {
 
         // no-alloc-request-path: steady-state requests must reuse
         // buffers (in-place folds, gather payloads, pooled scratch);
-        // genuinely cold allocation sites go in the allowlist.
-        if in_request_path(rel) && !in_test[idx] {
+        // genuinely cold allocation sites carry an `alloc-ok` marker.
+        if in_request_path(rel) && !in_test[idx] && !alloc_marked(&lines, idx) {
             for needle in [".to_vec()", "Bytes::from(", "Vec::new("] {
                 if code.contains(needle) {
                     push(
@@ -341,7 +358,7 @@ fn lint_file(rel: &str, text: &str, cfg: &Config, report: &mut LintReport) {
                         lineno,
                         format!(
                             "`{needle}` allocates on a request path; fold in place / gather / pool, \
-                             or allowlist the cold path in analysis.toml"
+                             or mark the cold path `// {ALLOC_OK} <reason>`"
                         ),
                     );
                 }
@@ -463,6 +480,24 @@ mod tests {
             "fn f() { log(\"TODO: not a comment\"); }\n// the TODO inventory itself\n",
         );
         assert!(r.todos.is_empty());
+    }
+
+    #[test]
+    fn alloc_marker_needs_a_reason_on_the_line_or_just_above() {
+        let rel = "crates/core/src/client/write.rs";
+        let flagged = |body: &str| {
+            let r = lint_str(rel, body);
+            r.violations.iter().filter(|v| v.rule == "no-alloc-request-path").count()
+        };
+        assert_eq!(flagged("fn f() { let v = Vec::new(); }\n"), 1);
+        assert_eq!(flagged("fn f() { let v = Vec::new(); } // alloc-ok: bookkeeping\n"), 0);
+        assert_eq!(flagged("// alloc-ok: bookkeeping\nfn f() { let v = Vec::new(); }\n"), 0);
+        // An empty reason, a marker two lines up, a marker trailing the
+        // code line above, or one inside a string literal waives nothing.
+        assert_eq!(flagged("fn f() { let v = Vec::new(); } // alloc-ok:\n"), 1);
+        assert_eq!(flagged("// alloc-ok: far\n\nfn f() { let v = Vec::new(); }\n"), 1);
+        assert_eq!(flagged("let a = 1; // alloc-ok: a\nfn f() { let v = Vec::new(); }\n"), 1);
+        assert_eq!(flagged("fn f() { let v = Vec::new(); g(\"// alloc-ok: no\"); }\n"), 1);
     }
 
     #[test]

@@ -73,6 +73,26 @@ fn lint_allowlist_waives_the_seeded_violation() {
 }
 
 #[test]
+fn lint_flags_unmarked_request_path_allocation_and_honours_the_marker() {
+    let dir = std::env::temp_dir().join("csar_analysis_alloc_marker");
+    let client = dir.join("crates/core/src/client");
+    std::fs::create_dir_all(&client).unwrap();
+    let seeded = client.join("seed.rs");
+    std::fs::write(&seeded, "pub fn f() -> Vec<u8> {\n    data.to_vec()\n}\n").unwrap();
+    let (code, stdout, _) = run(&["lint", "--root", dir.to_str().unwrap()]);
+    assert_eq!(code, Some(1), "{stdout}");
+    assert!(stdout.contains("seed.rs:2: [no-alloc-request-path]"), "{stdout}");
+    std::fs::write(
+        &seeded,
+        "pub fn f() -> Vec<u8> {\n    // alloc-ok: cold path\n    data.to_vec()\n}\n",
+    )
+    .unwrap();
+    let (code, stdout, _) = run(&["lint", "--root", dir.to_str().unwrap()]);
+    assert_eq!(code, Some(0), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn lint_rejects_a_missing_explicit_config() {
     let (code, _, stderr) = run(&["lint", "--config", "/nonexistent/analysis.toml"]);
     assert_eq!(code, Some(2));

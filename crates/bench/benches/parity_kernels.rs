@@ -1,17 +1,14 @@
-//! The Swift/RAID lesson, measured: "computing parity one word at a time
-//! instead of one byte at a time significantly improved the performance
-//! of the RAID5 and Hybrid schemes" (§3). The kernel ladder goes
-//! byte-wise → u64 word-wise → 64-byte unrolled/vectorised →
-//! thread-parallel (std::thread::scope).
+//! Parity microbenchmarks: the `xor_into` kernel across block sizes,
+//! and whole-group `parity_of` / `reconstruct`.
+//!
+//! The paper's Swift/RAID lesson (§3) — word-at-a-time parity beats
+//! byte-at-a-time — no longer shows on current compilers, which
+//! vectorise either loop; see EXPERIMENTS.md for the measured numbers.
 
 use csar_bench::crit as criterion;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use csar_parity::{
-    parallel_threshold, parity_of, reconstruct, xor_into_bytewise, xor_into_parallel,
-    xor_into_unrolled, xor_into_wordwise,
-};
+use csar_parity::{parity_of, reconstruct, xor_into};
 use std::hint::black_box;
-use std::time::Instant;
 
 fn buffers(len: usize) -> (Vec<u8>, Vec<u8>) {
     let a: Vec<u8> = (0..len).map(|i| (i * 31) as u8).collect();
@@ -24,24 +21,10 @@ fn bench_kernels(c: &mut Criterion) {
     for size in [4 * 1024usize, 64 * 1024, 1 << 20, 8 << 20] {
         group.throughput(Throughput::Bytes(size as u64));
         let (base, src) = buffers(size);
-        group.bench_with_input(BenchmarkId::new("bytewise", size), &size, |bch, _| {
+        group.bench_with_input(BenchmarkId::new("xor_into", size), &size, |bch, _| {
             let mut dst = base.clone();
-            bch.iter(|| xor_into_bytewise(black_box(&mut dst), black_box(&src)));
+            bch.iter(|| xor_into(black_box(&mut dst), black_box(&src)));
         });
-        group.bench_with_input(BenchmarkId::new("wordwise_u64", size), &size, |bch, _| {
-            let mut dst = base.clone();
-            bch.iter(|| xor_into_wordwise(black_box(&mut dst), black_box(&src)));
-        });
-        group.bench_with_input(BenchmarkId::new("unrolled64", size), &size, |bch, _| {
-            let mut dst = base.clone();
-            bch.iter(|| xor_into_unrolled(black_box(&mut dst), black_box(&src)));
-        });
-        if size >= 1 << 20 {
-            group.bench_with_input(BenchmarkId::new("parallel", size), &size, |bch, _| {
-                let mut dst = base.clone();
-                bch.iter(|| xor_into_parallel(black_box(&mut dst), black_box(&src)));
-            });
-        }
     }
     group.finish();
 }
@@ -67,61 +50,5 @@ fn bench_group_ops(c: &mut Criterion) {
     group.finish();
 }
 
-/// Seconds per pass of `f` over `dst ^= src`, averaged.
-fn time_kernel(f: fn(&mut [u8], &[u8]), dst: &mut [u8], src: &[u8], passes: usize) -> f64 {
-    f(dst, src); // warm caches (and the parallel kernel's thread pool)
-    let t0 = Instant::now();
-    for _ in 0..passes {
-        f(black_box(dst), black_box(src));
-    }
-    t0.elapsed().as_secs_f64().max(1e-12) / passes as f64
-}
-
-/// Measure the serial-vs-parallel crossover instead of trusting the
-/// 4 MiB `PARALLEL_THRESHOLD` default: the break-even size depends on
-/// core count and memory bandwidth, so this case scans block sizes,
-/// reports both kernels' bandwidth, and prints the first size where the
-/// thread-parallel kernel wins next to the configured threshold — the
-/// number a `parity.toml` override should be set from. Loads
-/// `parity.toml` first so a tuned run reports against its own config.
-fn bench_parallel_crossover(_c: &mut Criterion) {
-    match csar_parity::tuning::load_file("parity.toml") {
-        Ok(true) => println!("parallel_crossover: applied parity.toml overrides"),
-        Ok(false) => {}
-        Err(e) => println!("parallel_crossover: ignoring bad tuning file: {e}"),
-    }
-    println!("parallel_crossover (unrolled vs parallel):");
-    println!("{:>12} {:>14} {:>14}", "bytes", "serial GB/s", "parallel GB/s");
-    let mut crossover = None;
-    for size in [256 << 10, 512 << 10, 1 << 20, 2 << 20, 4 << 20, 8 << 20, 16 << 20] {
-        let (base, src) = buffers(size);
-        let mut dst = base.clone();
-        let passes = ((64 << 20) / size).max(4);
-        let serial = time_kernel(xor_into_unrolled, &mut dst, &src, passes);
-        let parallel = time_kernel(xor_into_parallel, &mut dst, &src, passes);
-        println!(
-            "{:>12} {:>14.2} {:>14.2}",
-            size,
-            size as f64 / serial / 1e9,
-            size as f64 / parallel / 1e9
-        );
-        if parallel < serial && crossover.is_none() {
-            crossover = Some(size);
-        }
-    }
-    match crossover {
-        Some(size) => println!(
-            "measured crossover: parallel first wins at {size} bytes \
-             (configured parallel_threshold = {})",
-            parallel_threshold()
-        ),
-        None => println!(
-            "parallel never won up to 16 MiB on this host; keep parallel_threshold \
-             at {} or raise it",
-            parallel_threshold()
-        ),
-    }
-}
-
-criterion_group!(benches, bench_kernels, bench_group_ops, bench_parallel_crossover);
+criterion_group!(benches, bench_kernels, bench_group_ops);
 criterion_main!(benches);

@@ -3,23 +3,35 @@
 //!
 //! Every binary, bench and test that links `csar-bench` routes its heap
 //! traffic through [`CountingAlloc`], which forwards to the system
-//! allocator and bumps relaxed atomic counters. [`count`] brackets a
+//! allocator and bumps a per-thread counter. [`count`] brackets a
 //! closure with counter snapshots, so the datapath audit can assert
 //! "this whole-group parity computation performed N heap allocations"
 //! as a hard, hermetic fact rather than a profiler estimate.
 //!
-//! The counters are process-wide: keep audited regions single-threaded
-//! and free of incidental work (no printing, no collection growth) or
-//! the numbers will include it — that strictness is the point.
+//! The counter is per thread, so allocations made by other threads (a
+//! test harness running suites in parallel, a server thread) never leak
+//! into an audit. Keep audited regions free of incidental work (no
+//! printing, no collection growth) and of work handed to other threads,
+//! or the numbers will include the former and miss the latter.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// Forwarding allocator that counts calls and requested bytes.
+/// Forwarding allocator that counts calls per thread.
 pub struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor, so touching it from
+    // inside the allocator never allocates (no lazy init) and never
+    // recurses.
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    // `try_with` fails only during thread teardown; an allocation made
+    // then is outside every audit window anyway.
+    let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
 
 // SAFETY: a pure pass-through to `System` — every method forwards its
 // arguments unchanged, so the `GlobalAlloc` contract (layout validity,
@@ -27,16 +39,14 @@ static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: caller upholds `alloc`'s contract; forwarded as-is.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        bump();
         // SAFETY: see above.
         unsafe { System.alloc(layout) }
     }
 
     // SAFETY: caller upholds `alloc_zeroed`'s contract; forwarded as-is.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        bump();
         // SAFETY: see above.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -46,8 +56,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // growing Vec defeats that exactly like a new Vec would.
     // SAFETY: caller upholds `realloc`'s contract; forwarded as-is.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        bump();
         // SAFETY: see above.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -62,22 +71,17 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Heap allocations made by this process so far.
-pub fn allocations() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
-}
-
-/// Bytes requested from the allocator so far.
-pub fn allocated_bytes() -> u64 {
-    ALLOC_BYTES.load(Ordering::Relaxed)
+/// Heap allocations made by the calling thread so far.
+fn thread_allocations() -> u64 {
+    THREAD_ALLOCS.with(Cell::get)
 }
 
 /// Run `f`, returning its result and the number of heap allocations it
-/// (and anything else on any thread during the window) performed.
+/// performed on the calling thread.
 pub fn count<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let before = allocations();
+    let before = thread_allocations();
     let r = f();
-    (r, allocations() - before)
+    (r, thread_allocations() - before)
 }
 
 #[cfg(test)]
@@ -88,6 +92,18 @@ mod tests {
     fn counts_a_vec_allocation() {
         let (_v, n) = count(|| vec![0u8; 4096]);
         assert!(n >= 1, "allocating a Vec must be counted");
+    }
+
+    #[test]
+    fn other_threads_are_not_counted() {
+        // Spawning allocates on this thread (the thread handle, the
+        // result slot), so compare against the same spawn with an
+        // allocation-free worker; the first spawn warms one-time state.
+        let spawn = |work: fn() -> usize| std::thread::scope(|s| s.spawn(work).join().unwrap());
+        spawn(|| 0);
+        let (_, base) = count(|| spawn(|| 0));
+        let (_, n) = count(|| spawn(|| vec![0u8; 4096].len()));
+        assert_eq!(n, base, "a worker thread's allocations must not be counted");
     }
 
     #[test]

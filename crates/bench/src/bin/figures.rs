@@ -89,17 +89,6 @@ fn main() {
     if which.is_empty() && bench_json_path.is_none() {
         which.push("all".into());
     }
-    // Optional kernel tuning override (repo-root parity.toml): applied
-    // before any parity work runs. Absent file = defaults; a malformed
-    // file is a hard error, never a silent fallback.
-    match csar_parity::tuning::load_file("parity.toml") {
-        Ok(true) => println!("applied parity.toml (parallel_threshold = {})", csar_parity::parallel_threshold()),
-        Ok(false) => {}
-        Err(e) => {
-            eprintln!("error: parity.toml: {e}");
-            std::process::exit(2);
-        }
-    }
     let opts = FigOpts { scale };
     let all = which.iter().any(|w| w == "all");
     let wants = |name: &str| all || which.iter().any(|w| w == name);
@@ -214,20 +203,18 @@ fn bench_pipeline(path: &str) {
     println!("\nwrote pipelining ablation to {path}");
 }
 
-/// The PR 3 zero-allocation datapath ablation: kernel ladder GB/s,
-/// allocations per whole-group parity computation, and copying-fold vs
-/// in-place-fold wall-clock on the simulator, dumped as
-/// machine-readable JSON (`BENCH_datapath.json`).
+/// The zero-allocation datapath bench: `xor_into` GB/s, allocations
+/// per whole-group parity computation, and in-place-fold wall-clock on
+/// the simulator, dumped as machine-readable JSON
+/// (`BENCH_datapath.json`).
 fn bench_datapath(path: &str, scale: f64) {
     use csar_bench::datapath;
 
-    header("XOR kernel ladder (1 MiB blocks, this host)");
+    header("XOR kernel (1 MiB blocks, this host)");
     let passes = ((64.0 * scale).ceil() as usize).max(4);
-    let rungs = datapath::kernel_ladder(1 << 20, passes);
+    let xor = datapath::xor_bandwidth(1 << 20, passes);
     println!("{:>10} {:>12} {:>10}", "kernel", "block", "GB/s");
-    for r in &rungs {
-        println!("{:>10} {:>12} {:>10.2}", r.kernel, r.block, r.gbps);
-    }
+    println!("{:>10} {:>12} {:>10.2}", "xor_into", xor.block, xor.gbps);
 
     header("Heap allocations per whole-group parity computation");
     let audit = datapath::whole_group_alloc_audit(5, 64 * 1024, 256);
@@ -241,53 +228,36 @@ fn bench_datapath(path: &str, scale: f64) {
         audit.steady_per_group()
     );
 
-    header("Copying vs in-place parity fold (sim wall-clock, real payloads)");
-    let grid = datapath::compare_all(scale);
-    println!(
-        "{:>8} {:>14} {:>14} {:>12} {:>12} {:>8}",
-        "scheme", "copying ns", "in-place ns", "copy MB/s", "inpl MB/s", "speedup"
-    );
+    header("In-place parity fold (sim wall-clock, real payloads)");
+    let grid = datapath::inplace_all(scale);
+    println!("{:>8} {:>14} {:>12}", "scheme", "in-place ns", "inpl MB/s");
     let cases: Vec<Json> = grid
         .iter()
         .map(|c| {
             println!(
-                "{:>8} {:>14} {:>14} {:>12.1} {:>12.1} {:>7.2}x",
+                "{:>8} {:>14} {:>12.1}",
                 c.scheme.label(),
-                c.copying.wall_ns,
                 c.inplace.wall_ns,
-                c.copying.wall_write_mbps(),
                 c.inplace.wall_write_mbps(),
-                c.speedup(),
             );
             Json::obj([
                 ("case", Json::from(c.case)),
                 ("scheme", Json::from(c.scheme.label())),
-                ("copying_wall_ns", Json::from(c.copying.wall_ns)),
                 ("inplace_wall_ns", Json::from(c.inplace.wall_ns)),
-                ("copying_wall_mbps", Json::from(c.copying.wall_write_mbps())),
                 ("inplace_wall_mbps", Json::from(c.inplace.wall_write_mbps())),
                 ("bytes_written", Json::from(c.inplace.virt.bytes_written)),
                 ("virtual_ns", Json::from(c.inplace.virt.duration_ns)),
-                ("speedup", Json::from(c.speedup())),
             ])
         })
         .collect();
     let body = Json::obj([
-        ("parallel_threshold", Json::from(csar_parity::parallel_threshold() as u64)),
         (
             "kernels",
-            Json::Arr(
-                rungs
-                    .iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("kernel", Json::from(r.kernel)),
-                            ("block", Json::from(r.block as u64)),
-                            ("gbps", Json::from(r.gbps)),
-                        ])
-                    })
-                    .collect(),
-            ),
+            Json::Arr(vec![Json::obj([
+                ("kernel", Json::from("xor_into")),
+                ("block", Json::from(xor.block as u64)),
+                ("gbps", Json::from(xor.gbps)),
+            ])]),
         ),
         (
             "alloc_audit",

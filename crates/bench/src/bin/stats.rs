@@ -59,7 +59,7 @@ fn render_table(snap: &Snapshot) -> String {
             );
         }
     }
-    push(&mut out, format!("\nspan events: {}; trace spans: {}", snap.spans.len(), snap.traces.len()));
+    push(&mut out, format!("\ntrace spans: {}", snap.traces.len()));
     out
 }
 

@@ -3,9 +3,8 @@
 //!
 //! Three measurements, one claim each:
 //!
-//! * **[`kernel_ladder`]** — raw XOR bandwidth of every kernel rung
-//!   (bytewise → wordwise → unrolled → parallel → auto-dispatch), the
-//!   §3 word-at-a-time effect measured on this host.
+//! * **[`xor_bandwidth`]** — raw XOR bandwidth of [`xor_into`] on this
+//!   host.
 //! * **[`whole_group_alloc_audit`]** — heap allocations per whole-group
 //!   parity computation when folding through a reused
 //!   [`ParityAccumulator`] and a [`BufferPool`] scratch buffer, counted
@@ -13,34 +12,28 @@
 //!   acceptance target is **zero** steady-state allocations: after the
 //!   first group warms the buffers up, computing another group touches
 //!   the heap not at all.
-//! * **[`compare_all`]** — end-to-end host wall-clock of simulator
-//!   write phases carrying *real* bytes ([`SimCluster::set_data_payloads`]),
-//!   with the write drivers on the copying fold
-//!   ([`SimCluster::set_copy_datapath`], the pre-PR behaviour: every
-//!   fold step clones, every splice re-concatenates) versus the
-//!   in-place fold. Virtual-time results are identical by construction
-//!   — the same modelled hardware runs the same protocol — so any
-//!   wall-clock difference is purely the byte pipeline.
+//! * **[`inplace_all`]** — end-to-end host wall-clock of simulator
+//!   write phases carrying *real* bytes ([`SimCluster::set_data_payloads`])
+//!   through the in-place parity fold. Virtual-time results are
+//!   identical to phantom payloads by construction — the same modelled
+//!   hardware runs the same protocol — so the wall clock is purely the
+//!   byte pipeline.
 //!
-//! Wall-clock numbers are host-dependent; each side takes the best of
+//! Wall-clock numbers are host-dependent; each case takes the best of
 //! three runs to shed scheduler noise. The allocation counts are exact
 //! and hermetic.
 
 use crate::alloc_count;
 use csar_core::proto::Scheme;
-use csar_parity::{
-    xor_into, xor_into_bytewise, xor_into_parallel, xor_into_unrolled, xor_into_wordwise,
-    ParityAccumulator,
-};
+use csar_parity::{xor_into, ParityAccumulator};
 use csar_sim::{HwProfile, Op, RunStats, SimCluster};
 use csar_store::{BufferPool, SplitMix64};
 use std::time::Instant;
 
-/// One rung of the XOR kernel ladder.
-#[derive(Debug, Clone)]
-pub struct KernelRung {
-    pub kernel: &'static str,
-    /// Buffer length the rung was timed on, bytes.
+/// Measured bandwidth of [`xor_into`].
+#[derive(Debug, Clone, Copy)]
+pub struct XorBandwidth {
+    /// Buffer length timed, bytes.
     pub block: usize,
     /// Destination bytes processed per second, GB/s.
     pub gbps: f64,
@@ -52,44 +45,18 @@ fn filled(rng: &mut SplitMix64, len: usize) -> Vec<u8> {
     v
 }
 
-/// Time every kernel on `block`-byte buffers for `passes` iterations.
-///
-/// Passes are interleaved round-robin across the kernels rather than
-/// run rung by rung, so host-side slowdowns (CPU-quota throttling on
-/// small containers, background load) land on every rung instead of
-/// whichever happened to run last — the per-rung *ratios* stay honest
-/// even when absolute bandwidth wobbles.
-pub fn kernel_ladder(block: usize, passes: usize) -> Vec<KernelRung> {
-    let kernels: [(&'static str, fn(&mut [u8], &[u8])); 5] = [
-        ("bytewise", xor_into_bytewise),
-        ("wordwise", xor_into_wordwise),
-        ("unrolled", xor_into_unrolled),
-        ("parallel", xor_into_parallel),
-        ("auto", xor_into),
-    ];
+/// Time [`xor_into`] on `block`-byte buffers for `passes` iterations.
+pub fn xor_bandwidth(block: usize, passes: usize) -> XorBandwidth {
     let mut rng = SplitMix64::new(0xDA7A_0001);
     let src = filled(&mut rng, block);
     let mut dst = filled(&mut rng, block);
-    for &(_, f) in &kernels {
-        f(&mut dst, &src); // warm caches (and the parallel rung's threads)
-    }
-    let mut secs = [0.0f64; 5];
+    xor_into(&mut dst, &src); // warm caches
+    let t0 = Instant::now();
     for _ in 0..passes {
-        for (i, &(_, f)) in kernels.iter().enumerate() {
-            let t0 = Instant::now();
-            f(&mut dst, &src);
-            secs[i] += t0.elapsed().as_secs_f64();
-        }
+        xor_into(&mut dst, &src);
     }
-    kernels
-        .iter()
-        .zip(secs)
-        .map(|(&(kernel, _), s)| KernelRung {
-            kernel,
-            block,
-            gbps: (block * passes) as f64 / s.max(1e-9) / 1e9,
-        })
-        .collect()
+    let secs = t0.elapsed().as_secs_f64();
+    XorBandwidth { block, gbps: (block * passes) as f64 / secs.max(1e-9) / 1e9 }
 }
 
 /// Result of [`whole_group_alloc_audit`].
@@ -147,8 +114,8 @@ pub fn whole_group_alloc_audit(width: usize, unit: usize, groups: u64) -> AllocA
 /// One simulator phase timed on the host clock.
 #[derive(Debug, Clone)]
 pub struct WallRun {
-    /// Virtual-time stats of the measured phase (identical across
-    /// datapath modes; asserted by the tests).
+    /// Virtual-time stats of the measured phase (identical to a
+    /// phantom-payload run; asserted by the tests).
     pub virt: RunStats,
     /// Host wall-clock of the measured phase, ns.
     pub wall_ns: u64,
@@ -162,22 +129,12 @@ impl WallRun {
     }
 }
 
-/// Copying-fold vs in-place-fold wall-clock comparison for one scheme.
+/// In-place-fold wall-clock for one scheme.
 #[derive(Debug, Clone)]
-pub struct DatapathComparison {
+pub struct DatapathCase {
     pub case: &'static str,
     pub scheme: Scheme,
-    /// Pre-PR reference: per-step clone + re-concatenation folds.
-    pub copying: WallRun,
-    /// The in-place accumulation path.
     pub inplace: WallRun,
-}
-
-impl DatapathComparison {
-    /// Copying wall time over in-place wall time (>1 ⇒ in-place wins).
-    pub fn speedup(&self) -> f64 {
-        self.copying.wall_ns as f64 / self.inplace.wall_ns.max(1) as f64
-    }
 }
 
 /// Run one measured write phase with real byte payloads.
@@ -188,17 +145,9 @@ impl DatapathComparison {
 /// cycle over [`SLOTS`] disjoint windows of the file, so the working
 /// set (and the sim's shared pattern buffer) stays bounded no matter
 /// how many ops the scale factor asks for.
-fn run_wall(
-    scheme: Scheme,
-    copy_datapath: bool,
-    servers: u32,
-    unit: u64,
-    groups_per_op: u64,
-    ops_n: u64,
-) -> WallRun {
+fn run_wall(scheme: Scheme, servers: u32, unit: u64, groups_per_op: u64, ops_n: u64) -> WallRun {
     let mut sim = SimCluster::new(HwProfile::myrinet_pentium3(), servers, 1);
     sim.set_data_payloads(true);
-    sim.set_copy_datapath(copy_datapath);
     let file = sim.create_file("datapath", scheme, unit);
     let group = (servers as u64 - 1) * unit;
     let len = groups_per_op * group;
@@ -230,21 +179,17 @@ pub const GROUPS_PER_OP: u64 = 8;
 /// Distinct file windows the measured ops cycle over (see [`run_wall`]).
 pub const SLOTS: u64 = 4;
 
-/// The comparison grid dumped into `BENCH_datapath.json`: multi-stripe
-/// whole-group overwrites under RAID1, RAID5 and Hybrid, copying fold
-/// vs in-place fold. `scale` shrinks the op count for smoke runs.
-pub fn compare_all(scale: f64) -> Vec<DatapathComparison> {
+/// The grid dumped into `BENCH_datapath.json`: multi-stripe
+/// whole-group overwrites under RAID1, RAID5 and Hybrid through the
+/// in-place fold. `scale` shrinks the op count for smoke runs.
+pub fn inplace_all(scale: f64) -> Vec<DatapathCase> {
     let ops_n = ((12.0 * scale).ceil() as u64).max(2);
     [Scheme::Raid1, Scheme::Raid5, Scheme::Hybrid]
         .into_iter()
-        .map(|scheme| {
-            let run = |copy| best_of(3, || run_wall(scheme, copy, SERVERS, UNIT, GROUPS_PER_OP, ops_n));
-            DatapathComparison {
-                case: "multi_stripe_whole_group",
-                scheme,
-                copying: run(true),
-                inplace: run(false),
-            }
+        .map(|scheme| DatapathCase {
+            case: "multi_stripe_whole_group",
+            scheme,
+            inplace: best_of(3, || run_wall(scheme, SERVERS, UNIT, GROUPS_PER_OP, ops_n)),
         })
         .collect()
 }
@@ -267,14 +212,12 @@ mod tests {
 
     /// The datapath mode only changes host-side byte handling: the
     /// simulated protocol, virtual timings and byte accounting are
-    /// identical whether payloads are phantom or real, copied or folded
-    /// in place.
+    /// identical whether payloads are phantom or real.
     #[test]
     fn datapath_mode_never_changes_virtual_time() {
-        let run = |data: bool, copy: bool| {
+        let run = |data: bool| {
             let mut sim = SimCluster::new(HwProfile::myrinet_pentium3(), 4, 1);
             sim.set_data_payloads(data);
-            sim.set_copy_datapath(copy);
             let file = sim.create_file("virt", Scheme::Raid5, 4 * 1024);
             let group = 3 * 4 * 1024u64;
             sim.run_phase(vec![(0, vec![Op::Write { file, off: 0, len: 4 * group }])]);
@@ -283,44 +226,17 @@ mod tests {
             // so both the RMW splice and the whole-group fold run.
             sim.run_phase(vec![(0, vec![Op::Write { file, off: 2048, len: 3 * group }])])
         };
-        let phantom = run(false, false);
-        let data_inplace = run(true, false);
-        let data_copying = run(true, true);
-        for (name, r) in [("data+inplace", &data_inplace), ("data+copying", &data_copying)] {
-            assert_eq!(r.duration_ns, phantom.duration_ns, "{name}: virtual time diverged");
-            assert_eq!(r.bytes_written, phantom.bytes_written, "{name}: byte accounting diverged");
-            assert_eq!(r.requests, phantom.requests, "{name}: request count diverged");
-        }
+        let phantom = run(false);
+        let data = run(true);
+        assert_eq!(data.duration_ns, phantom.duration_ns, "virtual time diverged");
+        assert_eq!(data.bytes_written, phantom.bytes_written, "byte accounting diverged");
+        assert_eq!(data.requests, phantom.requests, "request count diverged");
     }
 
-    /// Kernel ladder sanity: every rung reports positive bandwidth and
-    /// the auto dispatch adds no significant overhead over the rung it
-    /// dispatches to (unrolled below the parallel threshold, parallel
-    /// above). Which rung is *fastest* is codegen- and host-dependent —
-    /// debug builds don't vectorize the unrolled kernel, release lifts
-    /// even bytewise to SIMD — so the bench reports the ladder and the
-    /// test only pins the dispatch cost. Best-of-3: this test shares
-    /// the process with two dozen concurrently-running suites, and a
-    /// single measurement can land while every core is busy elsewhere.
     #[test]
-    fn kernel_ladder_shapes() {
-        let mut last = (0.0f64, 0.0f64);
-        for _ in 0..3 {
-            let rungs = kernel_ladder(256 * 1024, 16);
-            assert_eq!(rungs.len(), 5);
-            for r in &rungs {
-                assert!(r.gbps > 0.0, "{}: bandwidth must be positive", r.kernel);
-            }
-            let of = |k: &str| rungs.iter().find(|r| r.kernel == k).unwrap().gbps;
-            let target = of("unrolled").max(of("parallel"));
-            if of("auto") > 0.4 * target {
-                return;
-            }
-            last = (of("auto"), target);
-        }
-        panic!(
-            "auto dispatch ({:.2} GB/s) must stay near its dispatch target ({:.2} GB/s)",
-            last.0, last.1
-        );
+    fn xor_bandwidth_is_positive() {
+        let r = xor_bandwidth(256 * 1024, 16);
+        assert_eq!(r.block, 256 * 1024);
+        assert!(r.gbps > 0.0, "bandwidth must be positive");
     }
 }

@@ -3,7 +3,7 @@
 //! Regenerates every table and figure of the CSAR paper's evaluation
 //! from the simulator (`figures` binary; see `DESIGN.md` §5 for the
 //! experiment index), and hosts the microbenchmarks of the
-//! design-choice ablations (word-wise parity, lock manager, overflow
+//! design-choice ablations (parity kernel, lock manager, overflow
 //! table, write buffering, the §6.7 cleaner), run by the in-repo
 //! [`crit`] harness behind the `bench-ext` feature.
 //!
@@ -26,3 +26,12 @@ pub mod trace_overhead;
 pub mod trends;
 
 pub use harness::{run_fresh, run_overwrite, ExperimentResult, Series};
+
+/// Serialises the tests that switch the process-global metrics registry
+/// ([`csar_obs::global`]) on or off: the harness runs tests on parallel
+/// threads, and they all share that one registry.
+#[cfg(test)]
+pub(crate) fn global_registry_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -67,14 +67,14 @@ impl ObsComparison {
 /// Run one measured write phase (the datapath bench's steady-state
 /// whole-group overwrite shape) with metric recording on or off.
 ///
-/// The process-global client registry is reset before and disabled
-/// after each run so back-to-back invocations (and the rest of the
-/// test process) never see each other's counts.
+/// The process-global client registry is gated, then reset, before
+/// and disabled after each run so back-to-back invocations (and the
+/// rest of the test process) never see each other's counts.
 fn run_wall_obs(scheme: Scheme, metrics: bool, ops_n: u64) -> (WallRun, Snapshot) {
-    csar_obs::global().reset();
     let mut sim = SimCluster::new(HwProfile::myrinet_pentium3(), SERVERS, 1);
     sim.set_data_payloads(true);
     sim.set_metrics_enabled(metrics);
+    csar_obs::global().reset();
     let file = sim.create_file("obs", scheme, UNIT);
     let group = (SERVERS as u64 - 1) * UNIT;
     let len = GROUPS_PER_OP * group;
@@ -187,6 +187,7 @@ mod tests {
     /// protocol and virtual timings are identical either way.
     #[test]
     fn metrics_mode_never_changes_virtual_time() {
+        let _global = crate::global_registry_lock();
         let (off, _) = run_wall_obs(Scheme::Raid5, false, 2);
         let (on, snap) = run_wall_obs(Scheme::Raid5, true, 2);
         assert_eq!(on.virt.duration_ns, off.virt.duration_ns, "virtual time diverged");
@@ -201,6 +202,7 @@ mod tests {
     /// The metrics-off baseline records nothing at all.
     #[test]
     fn metrics_off_records_nothing() {
+        let _global = crate::global_registry_lock();
         let (_, snap) = run_wall_obs(Scheme::Raid5, false, 2);
         assert_eq!(snap.counters, Vec::new(), "disabled registries must stay empty");
     }

@@ -315,6 +315,7 @@ mod tests {
     /// traced side actually records the expected phases.
     #[test]
     fn tracing_mode_never_changes_virtual_time() {
+        let _global = crate::global_registry_lock();
         for case in [TraceCase::WholeGroup, TraceCase::HybridPartial] {
             let (off, none) = run_wall_trace(case, false, 2);
             let (on, spans) = run_wall_trace(case, true, 2);
@@ -336,6 +337,7 @@ mod tests {
     /// ID allocators) and causally well-formed.
     #[test]
     fn sample_spans_are_deterministic_and_nest() {
+        let _global = crate::global_registry_lock();
         let a = sample_traced_spans(0.05);
         let b = sample_traced_spans(0.05);
         assert_eq!(a, b, "sample must be bit-identical across calls");

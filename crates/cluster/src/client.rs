@@ -24,7 +24,7 @@ use csar_core::manager::{FileMeta, MgrRequest, MgrResponse};
 use csar_core::proto::{ClientId, ReqHeader, Request, Response, Scheme, ServerId};
 use csar_core::{CsarError, Layout};
 use csar_obs::trace::{next_span_id, next_trace_id, Phase, SpanId, TraceCtx, TraceId, TraceSpan};
-use csar_obs::{Ctr, Gauge, Hist, MetricsRegistry, SpanKind};
+use csar_obs::{Ctr, Gauge, Hist, MetricsRegistry};
 use csar_store::{Payload, StorageReport};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -737,6 +737,7 @@ impl File {
     /// that already hold owned buffers should use
     /// [`File::write_vectored`] or [`File::write_payload`], which don't.
     pub fn write_at(&self, off: u64, data: &[u8]) -> Result<u64, CsarError> {
+        // alloc-ok: the borrowed-slice API must copy at the ownership boundary
         self.write_payload(off, Payload::from_vec(data.to_vec()))
     }
 
@@ -764,7 +765,6 @@ impl File {
         let t0 = Instant::now();
         let (out, stats) = self.handle.run_op(&mut driver)?;
         self.handle.obs().observe(Hist::OpWriteNs, t0.elapsed().as_nanos() as u64);
-        self.handle.obs().span(SpanKind::Write, t0, len);
         self.record(&stats);
         let OpOutput::Written { bytes } = out else {
             return Err(CsarError::Protocol("write returned a read output".into()));
@@ -801,7 +801,6 @@ impl File {
         let t0 = Instant::now();
         let (out, stats) = self.handle.run_op(&mut driver)?;
         self.handle.obs().observe(Hist::OpReadNs, t0.elapsed().as_nanos() as u64);
-        self.handle.obs().span(SpanKind::Read, t0, len);
         self.record(&stats);
         Ok(out.into_payload())
     }

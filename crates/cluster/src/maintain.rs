@@ -19,7 +19,7 @@
 use crate::deploy::Cluster;
 use csar_core::proto::{ReqHeader, Request, Response, Scheme, ServerId};
 use csar_core::{CsarError, Span};
-use csar_obs::{Ctr, SpanKind};
+use csar_obs::{Ctr, Hist};
 use csar_parity::ParityAccumulator;
 use csar_store::{Payload, StreamKind};
 use std::collections::BTreeMap;
@@ -291,7 +291,7 @@ impl Cluster {
                 if deferred {
                     obs.inc(Ctr::CleanerGroupsDeferred);
                 }
-                obs.span(SpanKind::CleanerGroup, t0, g);
+                obs.observe(Hist::CleanerGroupNs, t0.elapsed().as_nanos() as u64);
             }
             file.compact_overflow()?;
             let after = file.storage_report()?.aggregate();
@@ -387,7 +387,7 @@ impl Cluster {
         let obs = self.obs();
         obs.add(Ctr::ScrubGroupsChecked, report.groups_checked);
         obs.add(Ctr::ScrubMirrorsChecked, report.mirrors_checked);
-        obs.span(SpanKind::Scrub, t0, report.groups_checked + report.mirrors_checked);
+        obs.observe(Hist::ScrubNs, t0.elapsed().as_nanos() as u64);
         Ok(report)
     }
 }

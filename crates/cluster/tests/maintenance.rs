@@ -63,7 +63,7 @@ fn cleaner_daemon_runs_passes_and_stops() {
 /// proven by the `cleaner_groups_rewritten` counter.
 #[test]
 fn clean_pass_rewrites_only_the_overflowed_group() {
-    use csar_obs::Ctr;
+    use csar_obs::{Ctr, Hist};
     let cluster = Cluster::spawn(4, Default::default());
     cluster.set_metrics_enabled(true);
     let client = cluster.client();
@@ -91,6 +91,10 @@ fn clean_pass_rewrites_only_the_overflowed_group() {
     assert_eq!(agg.overflow + agg.overflow_mirror, 0);
     assert_eq!(f.read_at(0, want.len() as u64).unwrap(), want);
     assert!(cluster.scrub().unwrap().is_clean());
+    // One duration per rewritten group and one per scrub pass.
+    let snap = cluster.obs().snapshot();
+    assert_eq!(snap.hist(Hist::CleanerGroupNs.name()).map(|h| h.count), Some(1));
+    assert_eq!(snap.hist(Hist::ScrubNs.name()).map(|h| h.count), Some(1));
     cluster.shutdown();
 }
 

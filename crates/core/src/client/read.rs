@@ -97,9 +97,9 @@ impl ReadDriver {
             started: false,
             finished: false,
             pending: HashMap::new(),
-            recon: Vec::new(),
+            recon: Vec::new(), // alloc-ok: reconstruction bookkeeping, empty until a degraded read
             outstanding: 0,
-            segments: Vec::new(),
+            segments: Vec::new(), // alloc-ok: segment list, not a byte buffer
             next_token: 0,
         }
     }
@@ -138,7 +138,7 @@ impl ReadDriver {
 
         let mut normal_per_server: BTreeMap<ServerId, Vec<Span>> = BTreeMap::new();
         let mut mirror_per_server: BTreeMap<ServerId, Vec<Span>> = BTreeMap::new();
-        let mut lost: Vec<Span> = Vec::new();
+        let mut lost: Vec<Span> = Vec::new(); // alloc-ok: span list, empty unless a server is down
         for s in ly.spans(self.off, self.len) {
             let home = ly.home_server(ly.block_of(s.logical_off));
             if Some(home) == self.failed {
@@ -303,9 +303,9 @@ impl OpDriver for ReadDriver {
     fn poll(&mut self, c: Completion) -> Vec<Effect> {
         if self.finished {
             // Late completions of an op that already reported Done.
-            return Vec::new();
+            return Vec::new(); // alloc-ok: empty, no heap
         }
-        let mut effects = Vec::new();
+        let mut effects = Vec::new(); // alloc-ok: effect list, a few entries per poll
         match c {
             Completion::Begin => {
                 debug_assert!(!self.started, "Begin polled twice");

@@ -64,10 +64,6 @@ pub struct WriteDriver {
     /// `batch_issue` bookkeeping: completed partial-group RMW parities
     /// (`partials` index, new parity) waiting for the combined flush.
     batch_partials: Vec<(usize, Payload)>,
-    /// Copy-datapath compat (see [`WriteDriver::set_copy_datapath`]):
-    /// parity folds allocate per step (`xor`/`concat`) instead of
-    /// accumulating in place. A/B reference for the datapath bench.
-    copy_fold: bool,
     started: bool,
     finished: bool,
     pending: HashMap<Token, Pending>,
@@ -164,8 +160,9 @@ impl WriteDriver {
         assert!(!payload.is_empty(), "zero-length writes are a caller-side no-op");
         let ly = meta.layout;
         let hdr = ReqHeader::new(meta.fh, ly, meta.scheme);
-        let mut partials = Vec::new();
+        let mut partials = Vec::new(); // alloc-ok: at most two partial-group contexts
         let mut full = None;
+        // alloc-ok: span list, empty unless the parity server is down
         let mut plain_partial_spans = Vec::new();
         let mut planning_error = meta.layout.check_scheme(meta.scheme).err();
 
@@ -246,8 +243,7 @@ impl WriteDriver {
             batch_issue: false,
             full_deferred: false,
             batch_full: None,
-            batch_partials: Vec::new(),
-            copy_fold: false,
+            batch_partials: Vec::new(), // alloc-ok: batch-issue bookkeeping, empty by default
             started: false,
             finished: false,
             pending: HashMap::new(),
@@ -267,15 +263,6 @@ impl WriteDriver {
     pub fn set_batch_issue(&mut self, on: bool) {
         debug_assert!(!self.started, "issue order fixed before Begin");
         self.batch_issue = on;
-    }
-
-    /// Use the pre-zero-allocation parity fold: every fold step clones
-    /// (`Payload::xor`) and every splice re-concatenates
-    /// ([`Payload::concat_flat`]). Produces byte-identical parities to
-    /// the default in-place path; kept as the A/B reference for the
-    /// datapath bench and for bisecting fold regressions.
-    pub fn set_copy_datapath(&mut self, on: bool) {
-        self.copy_fold = on;
     }
 
     fn layout(&self) -> &Layout {
@@ -478,25 +465,19 @@ impl WriteDriver {
         let npc = self.scheme() == Scheme::Raid5NoParityCompute;
         let Some((fo, flen)) = self.full else { return };
         let mut bytes = 0u64;
-        let mut parities = Vec::new();
+        let mut parities = Vec::new(); // alloc-ok: one parity handle per group, not a byte copy
         for g in ly.full_groups(fo, flen) {
             let parity = if npc {
                 self.blank(unit)
             } else {
                 let first = ly.group_first_block(g);
                 let mut acc = self.payload_at(first * unit, unit);
-                if self.copy_fold {
-                    for b in first + 1..first + ly.group_width_blocks() {
-                        acc = legacy_rewrap(acc.xor(&self.payload_at(b * unit, unit)));
-                    }
-                } else {
-                    // In-place fold: the first block's slice is shared
-                    // with the op payload, so the fold's first
-                    // `xor_assign` pays the group's one copy; the rest
-                    // accumulate into that buffer with no allocation.
-                    for b in first + 1..first + ly.group_width_blocks() {
-                        acc.xor_assign(&self.payload_at(b * unit, unit));
-                    }
+                // In-place fold: the first block's slice is shared
+                // with the op payload, so the fold's first
+                // `xor_assign` pays the group's one copy; the rest
+                // accumulate into that buffer with no allocation.
+                for b in first + 1..first + ly.group_width_blocks() {
+                    acc.xor_assign(&self.payload_at(b * unit, unit));
                 }
                 bytes += ly.group_width_blocks() * unit;
                 acc
@@ -612,20 +593,11 @@ impl WriteDriver {
                     .ok_or_else(|| CsarError::Protocol("old data not read before compute".into()))?;
                 let new = self.payload_at(s.logical_off, s.len);
                 let intra = s.logical_off % unit - lo;
-                if self.copy_fold {
-                    let delta = legacy_rewrap(old.xor(&new));
-                    // Fold delta into parity at the intra offset.
-                    let before = parity.slice(0, intra);
-                    let target = legacy_rewrap(parity.slice(intra, s.len).xor(&delta));
-                    let after = parity.slice(intra + s.len, (hi - lo) - intra - s.len);
-                    parity = legacy_rewrap(csar_store::concat_flat(&[before, target, after]));
-                } else {
-                    // P' = P ⊕ D_old ⊕ D_new spliced in place: the first
-                    // `xor_at` uniquifies the server's parity reply (the
-                    // one copy); no delta buffer, no re-concatenation.
-                    parity.xor_at(intra, &old);
-                    parity.xor_at(intra, &new);
-                }
+                // P' = P ⊕ D_old ⊕ D_new spliced in place: the first
+                // `xor_at` uniquifies the server's parity reply (the
+                // one copy); no delta buffer, no re-concatenation.
+                parity.xor_at(intra, &old);
+                parity.xor_at(intra, &new);
             }
             (parity, 3 * len_total)
         };
@@ -748,9 +720,9 @@ impl OpDriver for WriteDriver {
     fn poll(&mut self, c: Completion) -> Vec<Effect> {
         if self.finished {
             // Late completions of an op that already reported Done.
-            return Vec::new();
+            return Vec::new(); // alloc-ok: empty, no heap
         }
-        let mut effects = Vec::new();
+        let mut effects = Vec::new(); // alloc-ok: effect list, a few entries per poll
         match c {
             Completion::Begin => {
                 debug_assert!(!self.started, "Begin polled twice");
@@ -817,6 +789,7 @@ impl OpDriver for WriteDriver {
                             Err(e) => return vec![self.fail(e)],
                         };
                         let mut cursor = 0u64;
+                        // alloc-ok: partial indices, not a byte buffer
                         let mut touched: Vec<usize> = Vec::new();
                         for (pi, si) in refs {
                             let len = self.partials[pi].spans[si].len;
@@ -884,20 +857,5 @@ impl OpDriver for WriteDriver {
             effects.push(Effect::Done(Ok(OpOutput::Written { bytes: self.payload.len() })));
         }
         effects
-    }
-}
-
-/// Re-wrap a data payload through a fresh allocation — part of the
-/// [`WriteDriver::set_copy_datapath`] reference path.
-///
-/// The pre-zero-allocation `Bytes::from(Vec)` went through
-/// `Arc::<[u8]>::from`, which copies the bytes into a new allocation
-/// (the refcount header lives inline with the slice). `Bytes` now wraps
-/// the `Vec` without copying, so a faithful "before" measurement has to
-/// put that copy back on every fold/concat result it produces.
-fn legacy_rewrap(p: Payload) -> Payload {
-    match &p {
-        Payload::Data(b) => Payload::from_vec(b.to_vec()),
-        _ => p,
     }
 }

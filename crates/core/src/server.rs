@@ -666,7 +666,7 @@ impl IoServer {
             Request::OverflowFetch { hdr, spans, mirror } => {
                 let stream = if mirror { StreamKind::OverflowMirror } else { StreamKind::Overflow };
                 let table = if mirror { &self.overflow_mirror } else { &self.overflow };
-                let mut found = Vec::new();
+                let mut found = Vec::new(); // alloc-ok: overflow run list, not a byte buffer
                 for span in &spans {
                     if let Some(t) = table.get(&hdr.fh) {
                         found.extend(t.lookup(span.logical_off, span.len));

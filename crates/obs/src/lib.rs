@@ -12,9 +12,6 @@
 //! * **Histograms** ([`Hist`]) — log2-bucketed latency distributions
 //!   with exact count and sum, so a snapshot can report p50/p99-ish
 //!   bucket boundaries and the true mean.
-//! * **Span events** ([`SpanKind`]) — a fixed-size ring of recent
-//!   per-operation events (start, duration, one auxiliary value such as
-//!   bytes moved), the "why was this op slow" breadcrumb trail.
 //!
 //! The hot path is a relaxed `enabled` load plus one `fetch_add`: no
 //! locks, no branches into allocation, zero heap traffic steady-state —
@@ -31,7 +28,7 @@
 //!
 //! On top of the aggregate metrics sits **causal tracing** (the
 //! [`trace`] module): per-operation [`trace::TraceSpan`] records land
-//! in a second fixed-size ring, gated by an independent `tracing` flag
+//! in a fixed-size ring, gated by an independent `tracing` flag
 //! that defaults *off*. With tracing disabled,
 //! [`MetricsRegistry::record_trace`] is a single relaxed load — the
 //! request path stays allocation-free and inside the PR-4 overhead
@@ -44,7 +41,6 @@ pub mod trace;
 use csar_store::{FromJson, Json, JsonError, ToJson};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
-use std::time::Instant;
 use trace::{Phase, SpanId, TraceId, TraceSpan};
 
 // ---------------------------------------------------------------------------
@@ -167,20 +163,10 @@ metric_enum! {
         ReqRttNs => "req_rtt_ns",
         /// Time ops spent stalled on a full per-server window.
         WindowStallNs => "window_stall_ns",
-    }
-}
-
-metric_enum! {
-    /// Span event classes.
-    SpanKind {
-        /// One client write op.
-        Write => "write",
-        /// One client read op.
-        Read => "read",
         /// One group rewritten by the §6.7 cleaner.
-        CleanerGroup => "cleaner_group",
+        CleanerGroupNs => "cleaner_group_ns",
         /// One scrub pass.
-        Scrub => "scrub",
+        ScrubNs => "scrub_ns",
     }
 }
 
@@ -198,9 +184,6 @@ const SHARDS: usize = 8;
 /// == i` (bucket 0 is exactly zero), so bucket `i` spans
 /// `[2^(i-1), 2^i)`.
 const HIST_BUCKETS: usize = 64;
-/// Span ring capacity (events kept). Public so tests and tooling can
-/// assert exact wraparound behaviour.
-pub const SPAN_RING: usize = 1024;
 /// Trace ring capacity ([`trace::TraceSpan`] records kept). A traced
 /// whole-group write on a wide layout produces a few hundred spans, so
 /// this holds the last handful of ops — enough for `GetStats` scrapes
@@ -216,14 +199,6 @@ struct HistCell {
     count: AtomicU64,
     sum: AtomicU64,
     buckets: [AtomicU64; HIST_BUCKETS],
-}
-
-struct SpanSlot {
-    /// `SpanKind as usize + 1`; 0 marks an empty slot.
-    kind: AtomicU64,
-    start_ns: AtomicU64,
-    dur_ns: AtomicU64,
-    aux: AtomicU64,
 }
 
 struct TraceSlot {
@@ -252,11 +227,8 @@ pub struct MetricsRegistry {
     shards: Box<[Shard]>,
     gauges: [AtomicU64; Gauge::COUNT],
     hists: Box<[HistCell]>,
-    spans: Box<[SpanSlot]>,
-    span_head: AtomicUsize,
     traces: Box<[TraceSlot]>,
     trace_head: AtomicUsize,
-    epoch: Instant,
 }
 
 impl Default for MetricsRegistry {
@@ -306,15 +278,6 @@ impl MetricsRegistry {
             hists: (0..Hist::COUNT)
                 .map(|_| HistCell { count: AtomicU64::new(0), sum: AtomicU64::new(0), buckets: zeroed() })
                 .collect(),
-            spans: (0..SPAN_RING)
-                .map(|_| SpanSlot {
-                    kind: AtomicU64::new(0),
-                    start_ns: AtomicU64::new(0),
-                    dur_ns: AtomicU64::new(0),
-                    aux: AtomicU64::new(0),
-                })
-                .collect(),
-            span_head: AtomicUsize::new(0),
             traces: (0..TRACE_RING)
                 .map(|_| TraceSlot {
                     phase: AtomicU64::new(0),
@@ -327,7 +290,6 @@ impl MetricsRegistry {
                 })
                 .collect(),
             trace_head: AtomicUsize::new(0),
-            epoch: Instant::now(),
         }
     }
 
@@ -427,25 +389,6 @@ impl MetricsRegistry {
         cell.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record a span event that started at `start` and just finished.
-    #[inline]
-    pub fn span(&self, kind: SpanKind, start: Instant, aux: u64) {
-        if !self.enabled() {
-            return;
-        }
-        let dur = start.elapsed().as_nanos() as u64;
-        let start_ns = start
-            .checked_duration_since(self.epoch)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(0);
-        let i = self.span_head.fetch_add(1, Ordering::Relaxed) % SPAN_RING;
-        let slot = &self.spans[i];
-        slot.start_ns.store(start_ns, Ordering::Relaxed);
-        slot.dur_ns.store(dur, Ordering::Relaxed);
-        slot.aux.store(aux, Ordering::Relaxed);
-        slot.kind.store(kind as u64 + 1, Ordering::Relaxed);
-    }
-
     /// Record one causal trace span into the trace ring. Wait-free and
     /// allocation-free; a single relaxed load when tracing is off.
     #[inline]
@@ -484,9 +427,8 @@ impl MetricsRegistry {
                     parent: SpanId(slot.parent.load(Ordering::Relaxed)),
                     phase: Phase::ALL[(phase - 1) as usize],
                     start_ns,
-                    // Same torn-slot clamp as aggregate spans: the
-                    // computed end can never wrap around before the
-                    // start.
+                    // Clamp so a torn slot (see `reset`) can never
+                    // report an end that wraps before its start.
                     dur_ns: slot.dur_ns.load(Ordering::Relaxed).min(u64::MAX - start_ns),
                     aux: slot.aux.load(Ordering::Relaxed),
                 })
@@ -496,7 +438,7 @@ impl MetricsRegistry {
         out
     }
 
-    /// Reset every metric to zero (spans and trace spans included).
+    /// Reset every metric to zero (trace spans included).
     /// Gauges too: callers re-establish levels on their next transition.
     ///
     /// # Concurrency with `snapshot`
@@ -509,11 +451,11 @@ impl MetricsRegistry {
     /// stale `dur_ns` from before the ring wrapped). Two invariants
     /// are guaranteed regardless:
     ///
-    /// * a slot is only reported once its `kind`/`phase` tag is
-    ///   nonzero, and `reset` clears tags first, so a cleared slot is
-    ///   skipped rather than reported as zeros; and
+    /// * a slot is only reported once its `phase` tag is nonzero, and
+    ///   `reset` clears tags first, so a cleared slot is skipped rather
+    ///   than reported as zeros; and
     /// * span times are stored as `(start_ns, dur_ns)` — never as an
-    ///   absolute end — and `snapshot` clamps `dur_ns` to
+    ///   absolute end — and `trace_spans` clamps `dur_ns` to
     ///   `u64::MAX - start_ns`, so a reported span can never place its
     ///   start after its (saturating) end, even when torn.
     ///
@@ -534,10 +476,6 @@ impl MetricsRegistry {
                 b.store(0, Ordering::Relaxed);
             }
         }
-        for s in self.spans.iter() {
-            s.kind.store(0, Ordering::Relaxed);
-        }
-        self.span_head.store(0, Ordering::Relaxed);
         for t in self.traces.iter() {
             t.phase.store(0, Ordering::Relaxed);
         }
@@ -583,30 +521,7 @@ impl MetricsRegistry {
                 })
             })
             .collect();
-        let head = self.span_head.load(Ordering::Relaxed);
-        let filled = head.min(SPAN_RING);
-        let oldest = head - filled;
-        let mut spans: Vec<SpanEvent> = (0..filled)
-            .filter_map(|i| {
-                // Oldest-first walk of the ring.
-                let slot = &self.spans[(oldest + i) % SPAN_RING];
-                let kind = slot.kind.load(Ordering::Relaxed);
-                if kind == 0 {
-                    return None;
-                }
-                let start_ns = slot.start_ns.load(Ordering::Relaxed);
-                Some(SpanEvent {
-                    kind: SpanKind::ALL[(kind - 1) as usize].name().to_string(),
-                    start_ns,
-                    // Clamp so a torn slot (see `reset`) can never
-                    // report an end that wraps before its start.
-                    dur_ns: slot.dur_ns.load(Ordering::Relaxed).min(u64::MAX - start_ns),
-                    aux: slot.aux.load(Ordering::Relaxed),
-                })
-            })
-            .collect();
-        spans.sort_by_key(|s| s.start_ns);
-        Snapshot { counters, gauges, hists, spans, traces: self.trace_spans() }
+        Snapshot { counters, gauges, hists, traces: self.trace_spans() }
     }
 }
 
@@ -662,19 +577,6 @@ impl HistSnapshot {
     }
 }
 
-/// One span event as frozen into a snapshot.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanEvent {
-    /// The [`SpanKind`] name.
-    pub kind: String,
-    /// Start, nanoseconds since the recording registry's epoch.
-    pub start_ns: u64,
-    /// Duration in nanoseconds.
-    pub dur_ns: u64,
-    /// Kind-specific auxiliary value (bytes moved, group number, …).
-    pub aux: u64,
-}
-
 /// A frozen, mergeable, JSON-serializable view of a registry — what
 /// `GetStats` returns and the `stats` binary prints.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -685,8 +587,6 @@ pub struct Snapshot {
     pub gauges: Vec<(String, u64)>,
     /// Every histogram with at least one observation.
     pub hists: Vec<HistSnapshot>,
-    /// Recent span events, oldest first.
-    pub spans: Vec<SpanEvent>,
     /// Recent causal trace spans (the extended `GetStats` surface),
     /// oldest first; empty unless tracing was enabled.
     pub traces: Vec<TraceSpan>,
@@ -709,7 +609,7 @@ impl Snapshot {
     }
 
     /// Fold `other` into `self`: counters and gauges add, histograms
-    /// add bucket-wise, span lists concatenate (re-sorted by start).
+    /// add bucket-wise, trace lists concatenate (re-sorted by start).
     pub fn merge(&mut self, other: &Snapshot) {
         for (name, v) in &other.counters {
             match self.counters.iter_mut().find(|(n, _)| n == name) {
@@ -739,8 +639,6 @@ impl Snapshot {
                 None => self.hists.push(h.clone()),
             }
         }
-        self.spans.extend(other.spans.iter().cloned());
-        self.spans.sort_by_key(|s| s.start_ns);
         self.traces.extend(other.traces.iter().copied());
         self.traces.sort_by_key(|s| (s.start_ns, s.span));
     }
@@ -795,24 +693,10 @@ impl ToJson for Snapshot {
                 })
                 .collect(),
         );
-        let spans = Json::Arr(
-            self.spans
-                .iter()
-                .map(|s| {
-                    Json::obj([
-                        ("kind", Json::from(s.kind.as_str())),
-                        ("start_ns", Json::U64(s.start_ns)),
-                        ("dur_ns", Json::U64(s.dur_ns)),
-                        ("aux", Json::U64(s.aux)),
-                    ])
-                })
-                .collect(),
-        );
         Json::obj([
             ("counters", pairs_to_json(&self.counters)),
             ("gauges", pairs_to_json(&self.gauges)),
             ("hists", hists),
-            ("spans", spans),
             ("traces", Json::Arr(self.traces.iter().map(ToJson::to_json).collect())),
         ])
     }
@@ -853,24 +737,6 @@ impl FromJson for Snapshot {
                 Ok(HistSnapshot { name, count: h.u64_field("count")?, sum: h.u64_field("sum")?, buckets })
             })
             .collect::<Result<_, JsonError>>()?;
-        let spans = j
-            .field("spans")?
-            .as_array()
-            .ok_or_else(|| JsonError("spans must be an array".into()))?
-            .iter()
-            .map(|s| {
-                Ok(SpanEvent {
-                    kind: s
-                        .field("kind")?
-                        .as_str()
-                        .ok_or_else(|| JsonError("span kind must be a string".into()))?
-                        .to_string(),
-                    start_ns: s.u64_field("start_ns")?,
-                    dur_ns: s.u64_field("dur_ns")?,
-                    aux: s.u64_field("aux")?,
-                })
-            })
-            .collect::<Result<_, JsonError>>()?;
         // Tolerate snapshots from before the tracing extension.
         let traces = match j.field("traces") {
             Ok(t) => t
@@ -881,7 +747,7 @@ impl FromJson for Snapshot {
                 .collect::<Result<_, JsonError>>()?,
             Err(_) => Vec::new(),
         };
-        Ok(Snapshot { counters, gauges, hists, spans, traces })
+        Ok(Snapshot { counters, gauges, hists, traces })
     }
 }
 
@@ -927,12 +793,10 @@ mod tests {
         reg.inc(Ctr::SrvRequests);
         reg.gauge_add(Gauge::EngInFlight, 5);
         reg.observe(Hist::OpWriteNs, 100);
-        reg.span(SpanKind::Write, Instant::now(), 1);
         let snap = reg.snapshot();
         assert!(snap.counters.is_empty());
         assert!(snap.gauges.is_empty());
         assert!(snap.hists.is_empty());
-        assert!(snap.spans.is_empty());
         reg.set_enabled(true);
         reg.inc(Ctr::SrvRequests);
         assert_eq!(reg.counter(Ctr::SrvRequests), 1);
@@ -968,41 +832,6 @@ mod tests {
         assert_eq!(reg.gauge(Gauge::SrvQueueDepth), 0);
     }
 
-    #[test]
-    fn span_ring_wraps_and_keeps_latest() {
-        let reg = MetricsRegistry::new();
-        let t0 = Instant::now();
-        for i in 0..(SPAN_RING + 10) as u64 {
-            reg.span(SpanKind::Read, t0, i);
-        }
-        let snap = reg.snapshot();
-        assert_eq!(snap.spans.len(), SPAN_RING);
-        assert!(snap.spans.iter().all(|s| s.kind == "read"));
-        // The most recent aux values survive the wrap.
-        assert!(snap.spans.iter().any(|s| s.aux == (SPAN_RING + 9) as u64));
-        assert!(!snap.spans.iter().any(|s| s.aux == 5));
-    }
-
-    /// Satellite regression for the PR-4 ring walk: overfill the ring
-    /// and demand *exactly* the most recent `SPAN_RING` events, in
-    /// start order, with nothing older surviving.
-    #[test]
-    fn span_ring_wraparound_returns_exactly_the_latest_in_start_order() {
-        let reg = MetricsRegistry::new();
-        const EXTRA: usize = 100;
-        for i in 0..(SPAN_RING + EXTRA) as u64 {
-            // Each span gets its own capture point, so start_ns is
-            // non-decreasing in record order.
-            reg.span(SpanKind::Read, Instant::now(), i);
-        }
-        let snap = reg.snapshot();
-        assert_eq!(snap.spans.len(), SPAN_RING);
-        let aux: Vec<u64> = snap.spans.iter().map(|s| s.aux).collect();
-        let want: Vec<u64> = (EXTRA as u64..(SPAN_RING + EXTRA) as u64).collect();
-        assert_eq!(aux, want, "snapshot must keep exactly the newest SPAN_RING events, oldest first");
-        assert!(snap.spans.windows(2).all(|w| w[0].start_ns <= w[1].start_ns));
-    }
-
     /// Satellite: a snapshot racing `reset` (and racing recorders) must
     /// never report a span whose start lies after its end — the torn
     /// slot clamp documented on [`MetricsRegistry::reset`].
@@ -1019,7 +848,6 @@ mod tests {
             workers.push(std::thread::spawn(move || {
                 let mut i = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    reg.span(SpanKind::Write, Instant::now(), i);
                     reg.record_trace(&TraceSpan {
                         trace: TraceId(1),
                         span: SpanId(i + 1),
@@ -1038,10 +866,6 @@ mod tests {
         }
         for _ in 0..200 {
             let snap = reg.snapshot();
-            for s in &snap.spans {
-                let end = s.start_ns.checked_add(s.dur_ns).expect("span end overflowed past u64");
-                assert!(s.start_ns <= end);
-            }
             for t in &snap.traces {
                 let end = t.start_ns.checked_add(t.dur_ns).expect("trace end overflowed past u64");
                 assert!(t.start_ns <= end && t.end_ns() == end);
@@ -1077,6 +901,8 @@ mod tests {
         assert!(reg.trace_spans().is_empty());
     }
 
+    /// Overfill the ring and demand *exactly* the most recent
+    /// `TRACE_RING` spans, in start order, with nothing older surviving.
     #[test]
     fn trace_ring_wraps_and_keeps_latest() {
         let reg = MetricsRegistry::new();
@@ -1092,10 +918,9 @@ mod tests {
                 aux: i,
             });
         }
-        let spans = reg.trace_spans();
-        assert_eq!(spans.len(), TRACE_RING);
-        assert_eq!(spans.first().unwrap().aux, 50);
-        assert_eq!(spans.last().unwrap().aux, (TRACE_RING + 49) as u64);
+        let aux: Vec<u64> = reg.trace_spans().iter().map(|s| s.aux).collect();
+        let want: Vec<u64> = (50..(TRACE_RING + 50) as u64).collect();
+        assert_eq!(aux, want, "ring must keep exactly the newest TRACE_RING spans, oldest first");
     }
 
     #[test]
@@ -1131,7 +956,7 @@ mod tests {
         reg.gauge_set(Gauge::EngInFlight, 3);
         reg.observe(Hist::LockWaitNs, 12345);
         reg.observe(Hist::LockWaitNs, 99);
-        reg.span(SpanKind::CleanerGroup, Instant::now(), 42);
+        reg.observe(Hist::CleanerGroupNs, 42);
         let snap = reg.snapshot();
         let body = snap.to_json().to_pretty();
         let back = Snapshot::from_json(&Json::parse(&body).unwrap()).unwrap();
@@ -1175,7 +1000,6 @@ mod tests {
         reg.inc(Ctr::SrvRequests);
         reg.gauge_add(Gauge::SrvQueueDepth, 4);
         reg.observe(Hist::OpWriteNs, 10);
-        reg.span(SpanKind::Write, Instant::now(), 1);
         reg.reset();
         let snap = reg.snapshot();
         assert_eq!(snap, Snapshot::default());

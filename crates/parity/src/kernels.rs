@@ -1,103 +1,20 @@
-//! The XOR kernel ladder: byte-wise → word-wise → unrolled → thread-parallel.
+//! The XOR kernel.
 //!
-//! `xor_into` is the public entry point; it picks a kernel based on length.
-//! The individual kernels stay public so the microbenchmarks can measure
-//! the Swift/RAID "word-at-a-time parity" effect directly.
+//! One safe scalar loop over 64-byte chunks. The Swift/RAID word-vs-byte
+//! gap the paper cites has collapsed on current compilers: LLVM
+//! vectorises a byte loop, a `u64` loop and this chunked loop alike, and
+//! the chunked form measured fastest on small blocks (4–8 KiB) and no
+//! slower on larger ones (see EXPERIMENTS.md).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Default threshold above which the thread-parallel kernel pays for itself.
+/// XOR `src` into `dst` in 64-byte chunks.
 ///
-/// Below this the thread spawn/join overhead dominates; the value was
-/// chosen from the `parity_kernels` bench on a commodity x86-64 box. The
-/// live threshold is a runtime tunable — see [`parallel_threshold`] /
-/// [`set_parallel_threshold`] and the `tuning` module; this constant is
-/// only the starting value.
-pub const PARALLEL_THRESHOLD: usize = 1 << 22; // 4 MiB
-
-static PARALLEL_THRESHOLD_NOW: AtomicUsize = AtomicUsize::new(PARALLEL_THRESHOLD);
-
-/// The live parallel-dispatch threshold used by [`xor_into`].
-pub fn parallel_threshold() -> usize {
-    PARALLEL_THRESHOLD_NOW.load(Ordering::Relaxed)
-}
-
-/// Override the parallel-dispatch threshold (bytes).
-///
-/// Every kernel computes the same result, so changing the threshold is
-/// always safe — it only moves the point where [`xor_into`] switches from
-/// the unrolled kernel to scoped threads. `0` sends everything through
-/// the parallel path (which itself falls back to unrolled below its
-/// per-thread chunk size); [`PARALLEL_THRESHOLD`] restores the default.
-pub fn set_parallel_threshold(bytes: usize) {
-    PARALLEL_THRESHOLD_NOW.store(bytes, Ordering::Relaxed);
-}
-
-/// XOR `src` into `dst` byte by byte.
-///
-/// This is the naive kernel Swift/RAID started with. Kept for benchmarking;
-/// prefer [`xor_into`].
+/// The fixed-size inner loop lets LLVM vectorise it; on most targets
+/// this compiles to SIMD loads/xors/stores.
 ///
 /// # Panics
 /// Panics if lengths differ.
 #[inline]
-pub fn xor_into_bytewise(dst: &mut [u8], src: &[u8]) {
-    assert_eq!(dst.len(), src.len(), "xor buffers must have equal length");
-    for (d, s) in dst.iter_mut().zip(src.iter()) {
-        *d ^= *s;
-    }
-}
-
-/// XOR `src` into `dst` one `u64` word at a time, with a byte-wise tail.
-///
-/// # Panics
-/// Panics if lengths differ.
-#[inline]
-pub fn xor_into_wordwise(dst: &mut [u8], src: &[u8]) {
-    assert_eq!(dst.len(), src.len(), "xor buffers must have equal length");
-    // `align_to_mut` guarantees the head/body/tail partition is exact
-    // and the body is properly aligned; the debug asserts below pin
-    // those contract points.
-    // SAFETY: u64 has no invalid bit patterns and no alignment-sensitive
-    // interior state, so viewing the aligned body as `u64`s is sound.
-    let (d_head, d_body, d_tail) = unsafe { dst.align_to_mut::<u64>() };
-    debug_assert_eq!(
-        d_head.len() + d_body.len() * 8 + d_tail.len(),
-        src.len(),
-        "align_to_mut must partition the buffer exactly"
-    );
-    debug_assert_eq!(
-        d_body.as_ptr() as usize % std::mem::align_of::<u64>(),
-        0,
-        "align_to_mut body must be u64-aligned"
-    );
-    // The head/tail split of `src` must mirror `dst`'s: XOR those ranges
-    // byte-wise and the middle by reading unaligned u64s from `src`.
-    let head = d_head.len();
-    let body = d_body.len() * 8;
-    for (d, s) in d_head.iter_mut().zip(&src[..head]) {
-        *d ^= *s;
-    }
-    let src_body = &src[head..head + body];
-    for (i, d) in d_body.iter_mut().enumerate() {
-        let mut w = [0u8; 8];
-        w.copy_from_slice(&src_body[i * 8..i * 8 + 8]);
-        *d ^= u64::from_ne_bytes(w);
-    }
-    for (d, s) in d_tail.iter_mut().zip(&src[head + body..]) {
-        *d ^= *s;
-    }
-}
-
-/// XOR `src` into `dst` in 64-byte chunks (eight `u64`s per iteration).
-///
-/// The explicit chunking lets LLVM vectorise the inner loop; on most
-/// targets this compiles to SIMD loads/xors/stores.
-///
-/// # Panics
-/// Panics if lengths differ.
-#[inline]
-pub fn xor_into_unrolled(dst: &mut [u8], src: &[u8]) {
+pub fn xor_into(dst: &mut [u8], src: &[u8]) {
     assert_eq!(dst.len(), src.len(), "xor buffers must have equal length");
     const CHUNK: usize = 64;
     let mut d_it = dst.chunks_exact_mut(CHUNK);
@@ -109,39 +26,6 @@ pub fn xor_into_unrolled(dst: &mut [u8], src: &[u8]) {
     }
     for (d, s) in d_it.into_remainder().iter_mut().zip(s_it.remainder()) {
         *d ^= *s;
-    }
-}
-
-/// XOR `src` into `dst` splitting the buffers across scoped threads.
-///
-/// Only worthwhile for multi-megabyte buffers; see [`PARALLEL_THRESHOLD`].
-///
-/// # Panics
-/// Panics if lengths differ.
-pub fn xor_into_parallel(dst: &mut [u8], src: &[u8]) {
-    assert_eq!(dst.len(), src.len(), "xor buffers must have equal length");
-    const PAR_CHUNK: usize = 1 << 20;
-    let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    if workers <= 1 || dst.len() <= PAR_CHUNK {
-        return xor_into_unrolled(dst, src);
-    }
-    std::thread::scope(|scope| {
-        for (d, s) in dst.chunks_mut(PAR_CHUNK).zip(src.chunks(PAR_CHUNK)) {
-            scope.spawn(move || xor_into_unrolled(d, s));
-        }
-    });
-}
-
-/// XOR `src` into `dst`, selecting the fastest kernel for the length.
-///
-/// # Panics
-/// Panics if lengths differ.
-#[inline]
-pub fn xor_into(dst: &mut [u8], src: &[u8]) {
-    if dst.len() >= parallel_threshold() {
-        xor_into_parallel(dst, src);
-    } else {
-        xor_into_unrolled(dst, src);
     }
 }
 
@@ -170,53 +54,22 @@ mod tests {
     }
 
     #[test]
-    fn all_kernels_agree_on_small_input() {
-        let src: Vec<u8> = (0..200).map(|i| (i * 13) as u8).collect();
-        let base: Vec<u8> = (0..200).map(|i| (i * 7 + 3) as u8).collect();
-        let want = reference_xor(&base, &src);
-        for kernel in [
-            xor_into_bytewise as fn(&mut [u8], &[u8]),
-            xor_into_wordwise,
-            xor_into_unrolled,
-            xor_into_parallel,
-            xor_into,
-        ] {
-            let mut dst = base.clone();
-            kernel(&mut dst, &src);
-            assert_eq!(dst, want);
-        }
-    }
-
-    #[test]
-    fn parallel_kernel_agrees_on_multi_chunk_input() {
-        let len = (1 << 20) * 3 + 17; // three parallel chunks plus a tail
-        let mut rng = Rng(99);
-        let base = rng.bytes(len);
-        let src = rng.bytes(len);
-        let mut dst = base.clone();
-        xor_into_parallel(&mut dst, &src);
-        let mut want = base;
-        xor_into_unrolled(&mut want, &src);
-        assert_eq!(dst, want);
-    }
-
-    #[test]
     fn empty_buffers_are_fine() {
         let mut dst: Vec<u8> = vec![];
         xor_into(&mut dst, &[]);
-        xor_into_wordwise(&mut dst, &[]);
         assert!(dst.is_empty());
     }
 
     #[test]
-    fn wordwise_handles_every_alignment_offset() {
-        // Slice at every offset 0..8 to exercise the align_to head path.
+    fn xor_into_handles_every_alignment_offset() {
+        // Slice at every offset 0..8 so the chunk boundaries fall at
+        // every alignment of the underlying buffer.
         let backing: Vec<u8> = (0..128).map(|i| i as u8).collect();
         let src: Vec<u8> = (0..128).map(|i| (255 - i) as u8).collect();
         for off in 0..8 {
             let mut dst = backing.clone();
             let want = reference_xor(&dst[off..], &src[off..]);
-            xor_into_wordwise(&mut dst[off..], &src[off..]);
+            xor_into(&mut dst[off..], &src[off..]);
             assert_eq!(&dst[off..], &want[..]);
         }
     }
@@ -229,7 +82,7 @@ mod tests {
     }
 
     #[test]
-    fn kernels_match_reference() {
+    fn xor_into_matches_reference() {
         for case in 0u64..100 {
             let mut rng = Rng(0xD00D + case);
             let len = (rng.next() % 4096) as usize;
@@ -241,15 +94,9 @@ mod tests {
                 .map(|(i, _)| (seed.wrapping_mul(i as u64 + 1) >> 32) as u8)
                 .collect();
             let want = reference_xor(&dst, &src);
-            for kernel in [
-                xor_into_bytewise as fn(&mut [u8], &[u8]),
-                xor_into_wordwise,
-                xor_into_unrolled,
-            ] {
-                let mut d = dst.clone();
-                kernel(&mut d, &src);
-                assert_eq!(&d, &want, "case {case}");
-            }
+            let mut d = dst.clone();
+            xor_into(&mut d, &src);
+            assert_eq!(&d, &want, "case {case}");
         }
     }
 

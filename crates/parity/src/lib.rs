@@ -3,12 +3,12 @@
 //! The Swift/RAID paper (and §3 of the CSAR paper) report that computing
 //! parity one *word* at a time instead of one *byte* at a time was one of
 //! the largest single performance improvements in their distributed RAID
-//! implementation. This crate provides the full ladder of kernels so the
-//! effect can be measured (`csar-bench`'s `parity_kernels` bench), plus the
-//! higher-level parity operations the redundancy schemes need:
+//! implementation. On current compilers that gap has closed: LLVM
+//! vectorises byte, word and chunked loops alike, so this crate has one
+//! safe chunked kernel, plus the higher-level parity operations the
+//! redundancy schemes need:
 //!
-//! * [`xor_into`] — fold one source into an accumulator (auto-selects the
-//!   fastest kernel);
+//! * [`xor_into`] — fold one source into an accumulator;
 //! * [`ParityAccumulator`] — streaming parity over the blocks of a parity
 //!   group;
 //! * [`parity_of`] — one-shot parity of a set of equal-length blocks;
@@ -19,17 +19,13 @@
 //!
 //! All kernels are pure and allocation-free over caller-provided buffers.
 
-pub mod kernels;
-pub mod tuning;
+mod kernels;
 
 mod accumulator;
 mod recover;
 
 pub use accumulator::ParityAccumulator;
-pub use kernels::{
-    parallel_threshold, set_parallel_threshold, xor_into, xor_into_bytewise, xor_into_parallel,
-    xor_into_unrolled, xor_into_wordwise,
-};
+pub use kernels::xor_into;
 pub use recover::reconstruct;
 
 /// Compute the parity of `blocks` (all equal length) into a fresh vector.

@@ -1,15 +1,11 @@
-//! Seeded property sweep: every kernel on the ladder — and the streaming
-//! accumulator — must produce bit-identical parity on awkward shapes:
-//! odd lengths, misaligned slices, and lengths straddling the parallel
-//! dispatch threshold.
+//! Seeded property sweep: the XOR kernel and the streaming accumulator
+//! must produce bit-identical parity on awkward shapes: odd lengths and
+//! misaligned slices.
 //!
 //! Hermetic by construction: a fixed-seed SplitMix64 generates the
 //! inputs, so every run sweeps the same cases.
 
-use csar_parity::{
-    parallel_threshold, parity_of, set_parallel_threshold, xor_into, xor_into_bytewise,
-    xor_into_parallel, xor_into_unrolled, xor_into_wordwise, ParityAccumulator,
-};
+use csar_parity::{parity_of, xor_into, ParityAccumulator};
 
 /// Local SplitMix64 (csar-parity is the workspace root crate and cannot
 /// depend on csar-store, where the canonical copy lives).
@@ -33,22 +29,12 @@ fn reference_xor(dst: &[u8], src: &[u8]) -> Vec<u8> {
     dst.iter().zip(src).map(|(a, b)| a ^ b).collect()
 }
 
-const KERNELS: [(&str, fn(&mut [u8], &[u8])); 5] = [
-    ("bytewise", xor_into_bytewise),
-    ("wordwise", xor_into_wordwise),
-    ("unrolled", xor_into_unrolled),
-    ("parallel", xor_into_parallel),
-    ("dispatch", xor_into),
-];
-
-/// Assert all kernels agree with the byte-wise reference on `dst ^= src`.
-fn check_all(case: &str, dst: &[u8], src: &[u8]) {
+/// Assert `xor_into` agrees with the byte-wise reference on `dst ^= src`.
+fn check(case: &str, dst: &[u8], src: &[u8]) {
     let want = reference_xor(dst, src);
-    for (name, kernel) in KERNELS {
-        let mut d = dst.to_vec();
-        kernel(&mut d, src);
-        assert_eq!(d, want, "{case}: kernel `{name}` diverged (len {})", dst.len());
-    }
+    let mut d = dst.to_vec();
+    xor_into(&mut d, src);
+    assert_eq!(d, want, "{case}: xor_into diverged (len {})", dst.len());
 }
 
 #[test]
@@ -57,22 +43,22 @@ fn odd_lengths() {
     for len in [0usize, 1, 3, 7, 17, 63, 65, 511, 513, 4095, 4097, 65_537] {
         let dst = rng.bytes(len);
         let src = rng.bytes(len);
-        check_all("odd_lengths", &dst, &src);
+        check("odd_lengths", &dst, &src);
     }
 }
 
 #[test]
 fn misaligned_slices() {
     // Slice both operands at every offset 0..16 (independently), so the
-    // wordwise head/tail split and the unrolled remainder both run with
-    // every alignment of dst *and* src.
+    // chunk loop and its remainder run with every alignment of dst *and*
+    // src.
     let mut rng = Rng(0xA119);
     let backing_d = rng.bytes(1024 + 16);
     let backing_s = rng.bytes(1024 + 16);
     for d_off in 0..16 {
         for s_off in [0usize, 1, 5, 8, 13] {
             let len = 1024 - d_off.max(s_off);
-            check_all(
+            check(
                 "misaligned_slices",
                 &backing_d[d_off..d_off + len],
                 &backing_s[s_off..s_off + len],
@@ -82,23 +68,7 @@ fn misaligned_slices() {
 }
 
 #[test]
-fn lengths_straddling_parallel_threshold() {
-    // Lower the runtime threshold so the straddle is cheap to generate;
-    // every kernel computes the same bytes, so this only moves which
-    // kernel `xor_into` dispatches to. Restored at the end.
-    let default = parallel_threshold();
-    set_parallel_threshold(1 << 16);
-    let mut rng = Rng(0x57D1);
-    for len in [(1 << 16) - 1, 1 << 16, (1 << 16) + 1, (1 << 16) + 4097, (1 << 17) + 13] {
-        let dst = rng.bytes(len);
-        let src = rng.bytes(len);
-        check_all("threshold_straddle", &dst, &src);
-    }
-    set_parallel_threshold(default);
-}
-
-#[test]
-fn accumulator_matches_every_kernel_fold() {
+fn accumulator_matches_kernel_fold() {
     let mut rng = Rng(0xACC0);
     for case in 0..40 {
         let len = (rng.next() % 1500 + 1) as usize;
@@ -114,14 +84,12 @@ fn accumulator_matches_every_kernel_fold() {
         }
         assert_eq!(acc.current(), &want[..], "case {case}: accumulator diverged");
 
-        // Manual fold through each kernel.
-        for (name, kernel) in KERNELS {
-            let mut out = vec![0u8; len];
-            for b in &blocks {
-                kernel(&mut out, b);
-            }
-            assert_eq!(out, want, "case {case}: kernel `{name}` fold diverged");
+        // Manual fold through the kernel.
+        let mut out = vec![0u8; len];
+        for b in &blocks {
+            xor_into(&mut out, b);
         }
+        assert_eq!(out, want, "case {case}: kernel fold diverged");
     }
 }
 

@@ -175,10 +175,6 @@ pub struct SimCluster {
     /// way); this exists so the datapath bench can measure host
     /// wall-clock and allocations of the actual byte pipeline.
     data_payloads: bool,
-    /// Put write drivers on the copying parity fold
-    /// ([`WriteDriver::set_copy_datapath`]) — the datapath bench's
-    /// pre-zero-allocation reference.
-    copy_datapath: bool,
     /// Shared pattern region backing data-payload mode: grown lazily to
     /// the largest write seen, then sliced per op at O(1). Keeping one
     /// long-lived buffer means measured phases time the byte pipeline,
@@ -247,7 +243,6 @@ impl SimCluster {
             slowdown_ns: vec![0; servers as usize],
             barrier: false,
             data_payloads: false,
-            copy_datapath: false,
             pattern: Bytes::new(),
             tracing: false,
             next_trace: 0,
@@ -343,13 +338,6 @@ impl SimCluster {
     /// the datapath bench times on the host clock.
     pub fn set_data_payloads(&mut self, on: bool) {
         self.data_payloads = on;
-    }
-
-    /// Run write drivers on the copying parity fold (per-step `xor` +
-    /// re-concatenation) instead of the in-place accumulation path; the
-    /// A/B reference for [`SimCluster::set_data_payloads`] measurements.
-    pub fn set_copy_datapath(&mut self, on: bool) {
-        self.copy_datapath = on;
     }
 
     /// Deterministic payload bytes for data-payload mode: a seeded
@@ -642,9 +630,6 @@ impl SimCluster {
                     Payload::Phantom(len)
                 };
                 let mut wd = WriteDriver::new(&meta, off, payload);
-                if self.copy_datapath {
-                    wd.set_copy_datapath(true);
-                }
                 // Barrier-compat reproduces the retired batch engine:
                 // besides holding reply delivery (see `deliver`), the
                 // driver must also keep the batch issue ORDER — whole-

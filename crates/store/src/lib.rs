@@ -44,7 +44,7 @@ pub use cache::{CacheModel, FileKey};
 pub use json::{FromJson, Json, JsonError, ToJson};
 pub use cache::RangeAccess;
 pub use local::{LocalStore, StoreImage, StreamKind};
-pub use payload::{concat_flat, Payload};
+pub use payload::Payload;
 pub use pool::{BufferPool, PooledBuf};
 pub use rng::SplitMix64;
 pub use sparse::SparseFile;

@@ -1,7 +1,7 @@
 //! Write/read payloads: real bytes (contiguous or gathered) or phantom
 //! (length-only).
 
-use crate::bytes::{Bytes, BytesMut};
+use crate::bytes::Bytes;
 use crate::json::{hex_decode, hex_encode, FromJson, Json, JsonError, ToJson};
 use csar_parity::xor_into;
 use std::fmt;
@@ -219,23 +219,6 @@ impl Payload {
         Payload::from_chunks(chunks)
     }
 
-    /// XOR two equal-length payloads into a fresh payload.
-    ///
-    /// Allocates the output buffer; prefer [`Payload::xor_assign`] when
-    /// the left operand can donate its buffer.
-    ///
-    /// # Panics
-    /// Panics if lengths differ.
-    pub fn xor(&self, other: &Payload) -> Payload {
-        assert_eq!(self.len(), other.len(), "xor payloads must have equal length");
-        if !(self.is_data() && other.is_data()) {
-            return Payload::Phantom(self.len());
-        }
-        let mut out = self.to_flat_vec().expect("checked is_data");
-        xor_chunks_into(&mut out, other);
-        Payload::Data(Bytes::from(out))
-    }
-
     /// XOR `other` into `self` in place.
     ///
     /// When `self` is a uniquely-owned `Data` buffer this mutates it
@@ -398,23 +381,6 @@ impl fmt::Debug for Payload {
     }
 }
 
-/// Build a contiguous `Data` payload from parts by copying (the
-/// pre-gather `concat`). Kept for the datapath ablation: the copying
-/// and gathering paths must produce byte-identical payloads.
-pub fn concat_flat(parts: &[Payload]) -> Payload {
-    let total: u64 = parts.iter().map(Payload::len).sum();
-    if !parts.iter().all(Payload::is_data) {
-        return Payload::Phantom(total);
-    }
-    let mut out = BytesMut::with_capacity(total as usize);
-    for p in parts {
-        for c in p.chunks() {
-            out.extend_from_slice(c);
-        }
-    }
-    Payload::Data(out.freeze())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -511,23 +477,9 @@ mod tests {
     }
 
     #[test]
-    fn xor_data_data() {
-        let a = Payload::from_vec(vec![0b1100, 0b1010]);
-        let b = Payload::from_vec(vec![0b1010, 0b1010]);
-        assert_eq!(a.xor(&b), Payload::from_vec(vec![0b0110, 0]));
-    }
-
-    #[test]
-    fn xor_with_phantom_is_phantom() {
-        let a = Payload::from_vec(vec![1, 2, 3]);
-        assert_eq!(a.xor(&Payload::Phantom(3)), Payload::Phantom(3));
-        assert_eq!(Payload::Phantom(3).xor(&a), Payload::Phantom(3));
-    }
-
-    #[test]
     #[should_panic(expected = "equal length")]
     fn xor_length_mismatch_panics() {
-        Payload::Phantom(2).xor(&Payload::Phantom(3));
+        Payload::Phantom(2).xor_assign(&Payload::Phantom(3));
     }
 
     #[test]
@@ -573,18 +525,21 @@ mod tests {
         let mut p = Payload::from_vec(vec![1, 2, 3]);
         p.xor_assign(&Payload::Phantom(3));
         assert_eq!(p, Payload::Phantom(3));
+        // A phantom accumulator stays phantom whatever it folds in.
+        p.xor_assign(&Payload::from_vec(vec![1, 2, 3]));
+        assert_eq!(p, Payload::Phantom(3));
     }
 
     #[test]
-    fn xor_at_matches_slice_and_concat_reference() {
+    fn xor_at_matches_bytewise_reference() {
         let base: Vec<u8> = (0..32).collect();
         let patch: Vec<u8> = (0..8).map(|i| i * 3 + 1).collect();
-        // Reference: the old slice → xor → concat splice.
-        let p = Payload::from_vec(base.clone());
-        let before = p.slice(0, 10);
-        let target = p.slice(10, 8).xor(&Payload::from_vec(patch.clone()));
-        let after = p.slice(18, 14);
-        let want = Payload::concat(&[before, target, after]);
+        // Reference: XOR the patch over bytes 10..18 one byte at a time.
+        let mut want = base.clone();
+        for (w, p) in want[10..18].iter_mut().zip(&patch) {
+            *w ^= p;
+        }
+        let want = Payload::from_vec(want);
         // In-place splice.
         let mut got = Payload::from_vec(base);
         got.xor_at(10, &Payload::from_vec(patch));
@@ -635,18 +590,6 @@ mod tests {
         assert!(Payload::Phantom(3).as_bytes().is_none());
     }
 
-    #[test]
-    fn concat_flat_matches_gather_concat() {
-        let parts = [
-            Payload::from_vec(vec![1, 2]),
-            Payload::from_vec(vec![3, 4, 5]),
-            Payload::zeros(2),
-        ];
-        let flat = concat_flat(&parts);
-        assert!(matches!(flat, Payload::Data(_)));
-        assert_eq!(flat, Payload::concat(&parts));
-        assert_eq!(concat_flat(&[Payload::Phantom(1)]), Payload::Phantom(1));
-    }
 
     #[test]
     fn json_roundtrip_flattens_gather() {

@@ -18,7 +18,7 @@ cargo run -q --release -p csar-bench --bin figures -- --bench-json BENCH_pipelin
 # Datapath smoke (PR 3): a scaled-down run of the zero-allocation
 # ablation. The allocation audit is exact and hermetic, so the gate is
 # hard: steady-state whole-group parity computation must stay at zero
-# heap allocations. The wall-clock speedup column is host-dependent and
+# heap allocations. The wall-clock columns are host-dependent and
 # therefore reported, not gated.
 # The smoke run writes to a scratch path so it never clobbers the
 # committed full-scale BENCH_datapath.json (regenerate that with
