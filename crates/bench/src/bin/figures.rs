@@ -2,11 +2,14 @@
 //!
 //! ```text
 //! figures [fig1|fig3|fig4a|fig4b|fig5|fig6|fig7|fig8|table2|all] [--scale S]
+//! figures --bench pipeline|datapath|obs|trace [--bench-json PATH] [--scale S]
 //! ```
 //!
 //! Prints each figure as an aligned text table (the series the paper
 //! plots). `--scale` shrinks data volumes and caches proportionally for
-//! quick runs; shapes are preserved.
+//! quick runs; shapes are preserved. `--bench NAME` runs one of the
+//! machine-readable ablations and writes it to `--bench-json PATH`
+//! (default `BENCH_<NAME>.json`).
 
 use csar_bench::figures::{self, FigOpts};
 use csar_bench::harness::render_table;
@@ -59,6 +62,7 @@ fn main() {
     let mut which: Vec<String> = Vec::new();
     let mut scale = 1.0f64;
     let mut json_path: Option<String> = None;
+    let mut bench: Option<String> = None;
     let mut bench_json_path: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -72,21 +76,24 @@ fn main() {
             "--json" => {
                 json_path = Some(it.next().cloned().unwrap_or_else(|| usage("missing path for --json")));
             }
+            "--bench" => {
+                let name = it.next().unwrap_or_else(|| usage("missing name for --bench"));
+                if !BENCHES.contains(&name.as_str()) {
+                    usage(&format!("unknown bench `{name}` (expected one of {})", BENCHES.join("|")));
+                }
+                bench = Some(name.clone());
+            }
             "--bench-json" => {
-                // Optional path operand; defaults to BENCH_pipeline.json.
-                let path = match it.clone().next() {
-                    Some(p) if p.ends_with(".json") => {
-                        it.next();
-                        p.clone()
-                    }
-                    _ => "BENCH_pipeline.json".to_string(),
-                };
-                bench_json_path = Some(path);
+                bench_json_path =
+                    Some(it.next().cloned().unwrap_or_else(|| usage("missing path for --bench-json")));
             }
             other => which.push(other.to_string()),
         }
     }
-    if which.is_empty() && bench_json_path.is_none() {
+    if bench_json_path.is_some() && bench.is_none() {
+        usage("--bench-json needs --bench NAME");
+    }
+    if which.is_empty() && bench.is_none() {
         which.push("all".into());
     }
     let opts = FigOpts { scale };
@@ -123,15 +130,13 @@ fn main() {
     if wants("extensions") || which.iter().any(|w| w.starts_with("ext")) {
         extensions(&opts);
     }
-    if let Some(path) = bench_json_path {
-        if path.contains("datapath") {
-            bench_datapath(&path, scale);
-        } else if path.contains("obs") {
-            bench_obs(&path, scale);
-        } else if path.contains("trace") {
-            bench_trace(&path, scale);
-        } else {
-            bench_pipeline(&path);
+    if let Some(name) = bench {
+        let path = bench_json_path.unwrap_or_else(|| format!("BENCH_{name}.json"));
+        match name.as_str() {
+            "pipeline" => bench_pipeline(&path),
+            "datapath" => bench_datapath(&path, scale),
+            "obs" => bench_obs(&path, scale),
+            _ => bench_trace(&path, scale),
         }
     }
     if let Some(path) = json_path {
@@ -149,10 +154,14 @@ wrote machine-readable results to {path}");
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: figures [fig1|fig3|fig4a|fig4b|fig5|fig6|fig7|fig8|table2|extensions|all] [--scale S] [--json PATH] [--bench-json [PATH]]"
+        "usage: figures [fig1|fig3|fig4a|fig4b|fig5|fig6|fig7|fig8|table2|extensions|all] [--scale S] [--json PATH]
+       figures --bench pipeline|datapath|obs|trace [--bench-json PATH] [--scale S]"
     );
     std::process::exit(2);
 }
+
+/// The machine-readable ablations `--bench` can run.
+const BENCHES: [&str; 4] = ["pipeline", "datapath", "obs", "trace"];
 
 /// The PR 2 pipelining ablation: barrier vs completion-driven delivery
 /// on the simulator, dumped as machine-readable JSON (default

@@ -607,13 +607,14 @@ impl Handle {
             .ok_or_else(|| CsarError::Transport("empty batch reply".into()))
     }
 
-    /// A manager round trip.
+    /// A manager round trip, counted in [`Ctr::MgrRequests`].
     pub(crate) fn mgr(&self, req: MgrRequest) -> Result<MgrResponse, CsarError> {
         let (tx, rx) = channel();
         self.inner
             .mgr_tx
             .send(MgrMsg::Req { req, reply_to: tx })
             .map_err(|_| CsarError::Transport("manager channel closed".into()))?;
+        self.inner.obs.inc(Ctr::MgrRequests);
         rx.recv_timeout(self.transport().reply_timeout)
             .map_err(|_| CsarError::Transport("manager timed out".into()))
     }
@@ -685,35 +686,54 @@ impl ClusterClient {
     /// Remove a file's metadata (its server-side storage is left to the
     /// harness to wipe; PVFS-era semantics).
     pub fn remove(&self, name: &str) -> Result<(), CsarError> {
-        match self.handle.mgr(MgrRequest::Remove { name: name.into() })? {
-            MgrResponse::Ok => Ok(()),
-            MgrResponse::Err(e) => Err(e),
-            other => Err(CsarError::Protocol(format!("expected Ok, got {other:?}"))),
-        }
+        expect_ok(self.handle.mgr(MgrRequest::Remove { name: name.into() })?)
+    }
+}
+
+/// Unwrap a manager reply that carries nothing but success.
+fn expect_ok(resp: MgrResponse) -> Result<(), CsarError> {
+    match resp {
+        MgrResponse::Ok => Ok(()),
+        MgrResponse::Err(e) => Err(e),
+        other => Err(CsarError::Protocol(format!("expected Ok, got {other:?}"))),
     }
 }
 
 /// An open CSAR file with a blocking positional API. Safe to share
 /// across threads; operations run concurrently (no per-file lock).
+///
+/// Data operations go straight to the I/O servers. The metadata manager
+/// hears from a `File` only when a write extends the file past `size`.
 pub struct File {
     handle: Handle,
-    meta: Mutex<FileMeta>,
+    /// The metadata the manager returned on create/open. Everything but
+    /// `size` is immutable; that field keeps the size at open and is
+    /// never read (see `size` below).
+    meta: FileMeta,
+    /// A lower bound of the manager's recorded size. It starts at the
+    /// size the manager returned and is raised only after the manager
+    /// acknowledges a `SetSize`. The manager's `SetSize` is a monotonic
+    /// max and handles are never reused, so a write ending at or below
+    /// this bound has nothing to tell the manager.
+    size: AtomicU64,
     stats: Mutex<OpStats>,
 }
 
 impl File {
     fn new(handle: Handle, meta: FileMeta) -> Self {
-        Self { handle, meta: Mutex::new(meta), stats: Mutex::new(OpStats::default()) }
+        let size = AtomicU64::new(meta.size);
+        Self { handle, meta, size, stats: Mutex::new(OpStats::default()) }
     }
 
     /// Snapshot of the file's metadata.
     pub fn meta(&self) -> FileMeta {
-        self.meta.lock().unwrap_or_else(PoisonError::into_inner).clone()
+        FileMeta { size: self.size(), ..self.meta.clone() }
     }
 
-    /// Current logical size.
+    /// Current logical size, as far as this handle knows: the size at
+    /// open, raised by every extending write through it.
     pub fn size(&self) -> u64 {
-        self.meta.lock().unwrap_or_else(PoisonError::into_inner).size
+        self.size.load(Ordering::Relaxed)
     }
 
     /// Accumulated per-operation transport instrumentation for reads
@@ -727,8 +747,7 @@ impl File {
     }
 
     fn hdr(&self) -> ReqHeader {
-        let m = self.meta.lock().unwrap_or_else(PoisonError::into_inner);
-        ReqHeader::new(m.fh, m.layout, m.scheme)
+        ReqHeader::new(self.meta.fh, self.meta.layout, self.meta.scheme)
     }
 
     /// Write `data` at `off`.
@@ -757,27 +776,24 @@ impl File {
         if len == 0 {
             return Ok(0);
         }
-        let meta = self.meta();
+        let t0 = Instant::now();
         // Like reads, writes proceed around a fail-stopped server where
         // the scheme's redundancy permits (see WriteDriver::new_degraded).
         let failed = self.handle.failed();
-        let mut driver = WriteDriver::new_degraded(&meta, off, payload, failed);
-        let t0 = Instant::now();
+        let mut driver = WriteDriver::new_degraded(&self.meta, off, payload, failed);
         let (out, stats) = self.handle.run_op(&mut driver)?;
-        self.handle.obs().observe(Hist::OpWriteNs, t0.elapsed().as_nanos() as u64);
         self.record(&stats);
         let OpOutput::Written { bytes } = out else {
             return Err(CsarError::Protocol("write returned a read output".into()));
         };
-        // Report the new EOF to the manager (PVFS metadata update).
+        // Report a new EOF to the manager (PVFS metadata update). Only a
+        // write past the acknowledged size can raise the manager's max.
         let end = off + len;
-        {
-            let mut m = self.meta.lock().unwrap_or_else(PoisonError::into_inner);
-            if end > m.size {
-                m.size = end;
-            }
+        if end > self.size() {
+            expect_ok(self.handle.mgr(MgrRequest::SetSize { fh: self.meta.fh, size: end })?)?;
+            self.size.fetch_max(end, Ordering::Relaxed);
         }
-        self.handle.mgr(MgrRequest::SetSize { fh: meta.fh, size: end })?;
+        self.handle.obs().observe(Hist::OpWriteNs, t0.elapsed().as_nanos() as u64);
         Ok(bytes)
     }
 
@@ -795,10 +811,9 @@ impl File {
         if len == 0 {
             return Ok(Payload::zeros(0));
         }
-        let meta = self.meta();
-        let failed = self.handle.failed();
-        let mut driver = ReadDriver::new(&meta, off, len, failed);
         let t0 = Instant::now();
+        let failed = self.handle.failed();
+        let mut driver = ReadDriver::new(&self.meta, off, len, failed);
         let (out, stats) = self.handle.run_op(&mut driver)?;
         self.handle.obs().observe(Hist::OpReadNs, t0.elapsed().as_nanos() as u64);
         self.record(&stats);

@@ -503,6 +503,125 @@ fn remove_then_recreate_gets_fresh_handle() {
 }
 
 // ---------------------------------------------------------------------------
+// Metadata manager traffic: data operations go straight to the servers,
+// and only a write that extends the file past the size a handle knows
+// reports to the manager.
+
+/// Manager round trips the cluster's clients have made so far.
+fn mgr_requests(cluster: &Cluster) -> u64 {
+    cluster.obs().snapshot().counter("mgr_requests")
+}
+
+/// Run `op` and return how many manager round trips it cost.
+fn mgr_cost(cluster: &Cluster, op: impl FnOnce()) -> u64 {
+    let before = mgr_requests(cluster);
+    op();
+    mgr_requests(cluster) - before
+}
+
+#[test]
+fn only_eof_extending_writes_contact_the_manager() {
+    let n = 5u32;
+    let unit = 1024u64;
+    let group = (n as u64 - 1) * unit;
+    let groups = 6u64;
+    let filled = groups * group;
+    for scheme in [Scheme::Hybrid, Scheme::Raid5] {
+        let cluster = Cluster::spawn(n, cfg());
+        let client = cluster.client();
+        let f = client.create("mgr", scheme, unit).unwrap();
+        let prefill = mgr_cost(&cluster, || {
+            for g in 0..groups {
+                f.write_at(g * group, &pattern(group as usize, g)).unwrap();
+            }
+        });
+        assert_eq!(prefill, groups, "{scheme:?}: one request per extending whole-group write");
+        // A second handle, opened before the file grows any further.
+        let stale = cluster.client().open("mgr").unwrap();
+        assert_eq!(stale.size(), filled);
+
+        // Overwrite the whole prefilled region with whole groups, a
+        // one-block partial per group and a small unaligned tail, then
+        // read it all back.
+        let overwrite = mgr_cost(&cluster, || {
+            for g in 0..groups {
+                f.write_at(g * group, &pattern(group as usize, 100 + g)).unwrap();
+                f.write_at(g * group + unit, &pattern(unit as usize, 200 + g)).unwrap();
+            }
+            f.write_at(filled - 100, &pattern(100, 7)).unwrap();
+            assert_eq!(f.read_at(0, filled).unwrap().len() as u64, filled);
+        });
+        assert_eq!(overwrite, 0, "{scheme:?}: overwrites and reads never contact the manager");
+
+        let end = filled + 3 * unit;
+        let extend = mgr_cost(&cluster, || {
+            f.write_at(filled, &pattern(3 * unit as usize, 8)).unwrap();
+        });
+        assert_eq!(extend, 1, "{scheme:?}: one extending write, one request");
+        assert_eq!(f.size(), end);
+
+        // The stale handle pays nothing inside the size it knows, and one
+        // request past it, even though the manager already knows more.
+        let inside = mgr_cost(&cluster, || {
+            stale.write_at(0, &pattern(unit as usize, 9)).unwrap();
+        });
+        assert_eq!(inside, 0, "{scheme:?}: write inside the stale size");
+        let past = mgr_cost(&cluster, || {
+            stale.write_at(filled, &pattern(unit as usize, 10)).unwrap();
+        });
+        assert_eq!(past, 1, "{scheme:?}: write past the stale size");
+        assert_eq!(stale.size(), filled + unit);
+        let third = cluster.client().open("mgr").unwrap();
+        assert_eq!(third.size(), end, "{scheme:?}: the manager keeps the max");
+        assert_parity_consistent(&cluster, &f);
+        cluster.shutdown();
+    }
+}
+
+#[test]
+fn concurrent_extending_writes_leave_the_larger_end() {
+    let unit = 1024u64;
+    for scheme in [Scheme::Hybrid, Scheme::Raid5] {
+        let cluster = Cluster::spawn(5, cfg());
+        let client = cluster.client();
+        let f = client.create("grow", scheme, unit).unwrap();
+        for round in 0..16u64 {
+            // Two threads extend the same `File` to different ends; which
+            // of them reaches the further end alternates per round.
+            let base = round * 4 * unit;
+            let (near, far) = (base + unit, base + 3 * unit);
+            let ends = if round % 2 == 0 { [near, far] } else { [far, near] };
+            std::thread::scope(|scope| {
+                for (i, end) in ends.into_iter().enumerate() {
+                    let f = &f;
+                    let data = pattern(unit as usize, round * 2 + i as u64);
+                    scope.spawn(move || f.write_at(end - unit, &data).unwrap());
+                }
+            });
+            assert_eq!(f.size(), far, "{scheme:?} round {round}");
+            assert_eq!(client.open("grow").unwrap().size(), far, "{scheme:?} round {round}");
+        }
+        cluster.shutdown();
+    }
+}
+
+#[test]
+fn extending_write_to_a_removed_file_fails_and_keeps_the_cached_size() {
+    let cluster = Cluster::spawn(5, cfg());
+    let client = cluster.client();
+    let f = client.create("gone", Scheme::Hybrid, 1024).unwrap();
+    f.write_at(0, &pattern(4096, 1)).unwrap();
+    let fh = f.meta().fh;
+    client.remove("gone").unwrap();
+    let writes = || cluster.obs().snapshot().hist("op_write_ns").map_or(0, |h| h.count);
+    let before = writes();
+    assert_eq!(f.write_at(4000, &pattern(1000, 2)), Err(CsarError::NoSuchHandle(fh)));
+    assert_eq!(f.size(), 4096, "a refused SetSize must not raise the cached size");
+    assert_eq!(writes(), before, "a failed write records no op_write_ns sample");
+    cluster.shutdown();
+}
+
+// ---------------------------------------------------------------------------
 // Causal tracing & flight recorder (DESIGN.md §15)
 
 /// Walk a flight-recorder JSON dump's trace trees, calling `f` on every

@@ -119,6 +119,9 @@ metric_enum! {
         EngAbandoned => "eng_abandoned",
         /// Times an op had to wait for a per-server window slot.
         EngWindowStalls => "eng_window_stalls",
+        /// Round trips a client made to the metadata manager (create,
+        /// open, list, remove and EOF-extending writes).
+        MgrRequests => "mgr_requests",
         /// Parity groups the cleaner examined for live overflow.
         CleanerGroupsScanned => "cleaner_groups_scanned",
         /// Parity groups the cleaner actually rewrote in place.
@@ -153,9 +156,10 @@ metric_enum! {
 metric_enum! {
     /// Log2-bucketed latency distributions (values in nanoseconds).
     Hist {
-        /// Whole client write operations.
+        /// Whole client write operations, from the API call to its
+        /// return (an EOF-extending write's manager round trip included).
         OpWriteNs => "op_write_ns",
-        /// Whole client read operations.
+        /// Whole client read operations, from the API call to its return.
         OpReadNs => "op_read_ns",
         /// §5.1 parity lock-read round trips (lock wait + parity read).
         LockWaitNs => "lock_wait_ns",

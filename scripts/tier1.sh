@@ -14,7 +14,7 @@ cargo run -q -p csar-analysis -- lint
 cargo run -q -p csar-analysis -- check
 # Perf trajectory: regenerate the barrier-vs-pipelined ablation so
 # BENCH_pipeline.json tracks the completion-driven engine from PR 2 on.
-cargo run -q --release -p csar-bench --bin figures -- --bench-json BENCH_pipeline.json
+cargo run -q --release -p csar-bench --bin figures -- --bench pipeline
 # Datapath smoke (PR 3): a scaled-down run of the zero-allocation
 # ablation. The allocation audit is exact and hermetic, so the gate is
 # hard: steady-state whole-group parity computation must stay at zero
@@ -22,10 +22,10 @@ cargo run -q --release -p csar-bench --bin figures -- --bench-json BENCH_pipelin
 # therefore reported, not gated.
 # The smoke run writes to a scratch path so it never clobbers the
 # committed full-scale BENCH_datapath.json (regenerate that with
-# `figures --bench-json BENCH_datapath.json`).
+# `figures --bench datapath`).
 smoke=$(mktemp /tmp/BENCH_datapath_smoke.XXXXXX.json)
 trap 'rm -f "$smoke"' EXIT
-cargo run -q --release -p csar-bench --bin figures -- --bench-json "$smoke" --scale 0.25
+cargo run -q --release -p csar-bench --bin figures -- --bench datapath --bench-json "$smoke" --scale 0.25
 grep -q '"steady_allocs": 0' "$smoke" || {
     echo "tier1: FAIL — steady-state datapath allocations regressed above zero" >&2
     grep '"steady_allocs"' "$smoke" >&2
@@ -38,10 +38,10 @@ echo "tier1: datapath steady-state allocations: 0 (gate ok)"
 # is hard: both must stay at zero steady-state allocations. The
 # wall-clock overhead column is host-dependent and therefore reported,
 # not gated (regenerate the committed full-scale BENCH_obs.json with
-# `figures --bench-json BENCH_obs.json`).
+# `figures --bench obs`).
 obs_smoke=$(mktemp /tmp/BENCH_obs_smoke.XXXXXX.json)
 trap 'rm -f "$smoke" "$obs_smoke"' EXIT
-cargo run -q --release -p csar-bench --bin figures -- --bench-json "$obs_smoke" --scale 0.25
+cargo run -q --release -p csar-bench --bin figures -- --bench obs --bench-json "$obs_smoke" --scale 0.25
 zeroed=$(grep -c '"steady_allocs": 0' "$obs_smoke" || true)
 if [ "$zeroed" -ne 2 ]; then
     echo "tier1: FAIL — a steady-state allocation audit regressed above zero" >&2
@@ -58,10 +58,10 @@ echo "tier1: obs steady-state allocations: 0 (gate ok)"
 # bit-for-bit (`roundtrip_ok`). The wall-clock overhead column is
 # host-dependent and therefore reported, not gated (regenerate the
 # committed full-scale BENCH_trace.json with
-# `figures --bench-json BENCH_trace.json`).
+# `figures --bench trace`).
 trace_smoke=$(mktemp /tmp/BENCH_trace_smoke.XXXXXX.json)
 trap 'rm -f "$smoke" "$obs_smoke" "$trace_smoke"' EXIT
-cargo run -q --release -p csar-bench --bin figures -- --bench-json "$trace_smoke" --scale 0.25
+cargo run -q --release -p csar-bench --bin figures -- --bench trace --bench-json "$trace_smoke" --scale 0.25
 zeroed=$(grep -c '"steady_allocs": 0' "$trace_smoke" || true)
 if [ "$zeroed" -ne 2 ]; then
     echo "tier1: FAIL — a trace-path steady-state allocation audit regressed above zero" >&2
