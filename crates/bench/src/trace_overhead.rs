@@ -254,7 +254,7 @@ pub fn sample_traced_spans(scale: f64) -> Vec<TraceSpan> {
     let ops_n = ((8.0 * scale).ceil() as u64).max(2);
     let (_, mut spans) = run_wall_trace(TraceCase::WholeGroup, true, ops_n);
     let (_, partial) = run_wall_trace(TraceCase::HybridPartial, true, ops_n);
-    // Each run is a fresh sim with its own ID allocators, so shift the
+    // Each run is a fresh sim with its own trace-ID counter, so shift the
     // second batch's trace IDs past the first's — span identity is
     // `(trace, span)`, so distinct trace IDs keep the batches' trees
     // from cross-linking.
@@ -334,7 +334,7 @@ mod tests {
     }
 
     /// The exporter sample is deterministic (virtual clock + sim-owned
-    /// ID allocators) and causally well-formed.
+    /// trace IDs) and causally well-formed.
     #[test]
     fn sample_spans_are_deterministic_and_nest() {
         let _global = crate::global_registry_lock();

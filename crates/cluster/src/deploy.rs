@@ -50,9 +50,6 @@ pub(crate) struct Inner {
 impl Inner {
     /// Retain a completed op's spans in the flight-recorder ring.
     pub(crate) fn record_flight(&self, spans: Vec<TraceSpan>) {
-        if spans.is_empty() {
-            return;
-        }
         let mut ring = self.flight.lock().unwrap_or_else(PoisonError::into_inner);
         if ring.len() == FLIGHT_RING {
             ring.pop_front();
@@ -100,10 +97,10 @@ impl Cluster {
     /// Panics if `n == 0`.
     pub fn spawn(n: u32, cfg: ServerConfig) -> Self {
         let engines = (0..n).map(|id| IoServer::new(id, cfg)).collect();
-        Self::spawn_engines(engines, cfg, Manager::new())
+        Self::spawn_engines(engines, Manager::new())
     }
 
-    fn spawn_engines(engines: Vec<IoServer>, cfg: ServerConfig, mgr: Manager) -> Self {
+    fn spawn_engines(engines: Vec<IoServer>, mgr: Manager) -> Self {
         let n = engines.len() as u32;
         assert!(n > 0, "need at least one I/O server");
         let mut server_txs = Vec::with_capacity(n as usize);
@@ -117,7 +114,7 @@ impl Cluster {
             let engine2 = Arc::clone(&engine);
             threads.push(std::thread::Builder::new()
                 .name(format!("csar-iod-{id}"))
-                .spawn(move || run_server(id, cfg, rx, engine2, epoch))
+                .spawn(move || run_server(id, rx, engine2, epoch))
                 .expect("spawn server thread"));
             server_txs.push(tx);
             shared.push(engine);
@@ -193,7 +190,7 @@ impl Cluster {
                 dir.display()
             )));
         }
-        Ok(Self::spawn_engines(engines, cfg, Manager::import(metas)))
+        Ok(Self::spawn_engines(engines, Manager::import(metas)))
     }
 
     /// Number of I/O servers.

@@ -3,8 +3,8 @@
 use crate::transport::{MgrMsg, ReplyTrace, ServerMsg};
 use csar_core::manager::Manager;
 use csar_core::proto::{Response, ServerId};
-use csar_core::server::{Effect, IoServer, ServerConfig};
-use csar_obs::trace::{derived_span, Phase, TraceSpan};
+use csar_core::server::{Effect, IoServer};
+use csar_obs::trace::{Phase, TraceSpan};
 use csar_obs::Gauge;
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::{Receiver, Sender};
@@ -40,13 +40,11 @@ fn ns_since(epoch: Instant, t: Instant) -> u64 {
 /// the same state machine under a virtual clock).
 pub(crate) fn run_server(
     id: ServerId,
-    cfg: ServerConfig,
     rx: Receiver<ServerMsg>,
     shared: SharedServer,
     epoch: Instant,
 ) {
     debug_assert_eq!(shared.lock().unwrap_or_else(PoisonError::into_inner).id, id);
-    let _ = cfg;
     let mut pending: HashMap<(u32, u64), Sender<(u64, Response, ReplyTrace)>> = HashMap::new();
     // Queue-wait spans of requests parked on a parity lock: computed at
     // their dispatch, attached when the unlocking write finally produces
@@ -72,7 +70,7 @@ pub(crate) fn run_server(
             ServerMsg::Req { from, req_id, req, reply_to } => {
                 pending.insert((from, req_id), reply_to);
                 let ctx = req.trace_ctx();
-                let dispatch = Instant::now();
+                let dispatch_ns = ns_since(epoch, Instant::now());
                 let (effects, traced) = {
                     // A panicked observer cannot corrupt the engine, so a
                     // poisoned lock is recovered rather than propagated.
@@ -80,22 +78,14 @@ pub(crate) fn run_server(
                     // Backlog plus the request in service.
                     engine.obs.gauge_set(Gauge::SrvQueueDepth, backlog.len() as u64 + 1);
                     let traced = engine.obs.tracing_enabled();
-                    let effects = engine.handle_at(from, req_id, req, ns_since(epoch, dispatch));
+                    let effects = engine.handle_at(from, req_id, req, dispatch_ns);
                     (effects, traced)
                 };
-                let done = Instant::now();
-                let queue_span = match (traced, ctx) {
-                    (true, Some(c)) => Some(TraceSpan {
-                        trace: c.trace,
-                        span: derived_span(c.span, Phase::SrvQueue),
-                        parent: c.span,
-                        phase: Phase::SrvQueue,
-                        start_ns: ns_since(epoch, arrived_at),
-                        dur_ns: dispatch.saturating_duration_since(arrived_at).as_nanos() as u64,
-                        aux: id as u64,
-                    }),
-                    _ => None,
-                };
+                let done_ns = ns_since(epoch, Instant::now());
+                let arrived_ns = ns_since(epoch, arrived_at);
+                let queue_span = ctx
+                    .filter(|_| traced)
+                    .map(|c| TraceSpan::server(c, Phase::SrvQueue, arrived_ns, dispatch_ns, id));
                 let mut replied_current = false;
                 let mut recorded: Vec<TraceSpan> = Vec::new();
                 for e in effects {
@@ -115,15 +105,7 @@ pub(crate) fn run_server(
                             // Service time: for a woken waiter this is the
                             // slice of the unlocking dispatch that served
                             // its deferred read.
-                            spans.push(TraceSpan {
-                                trace: c.trace,
-                                span: derived_span(c.span, Phase::Service),
-                                parent: c.span,
-                                phase: Phase::Service,
-                                start_ns: ns_since(epoch, dispatch),
-                                dur_ns: done.saturating_duration_since(dispatch).as_nanos() as u64,
-                                aux: id as u64,
-                            });
+                            spans.push(TraceSpan::server(c, Phase::Service, dispatch_ns, done_ns, id));
                         }
                         // `lock_wait` was already recorded into the engine's
                         // ring by `handle_at`; it only needs piggybacking.

@@ -435,6 +435,23 @@ fn reply_timeout_names_the_unresponsive_server() {
 }
 
 #[test]
+fn reply_timeout_of_duration_max_never_expires() {
+    // `Duration::MAX` is the natural "never time out": every deadline
+    // saturates instead of overflowing the clock, so a whole-group
+    // write, a lock-taking RMW overwrite and a read all complete.
+    let cluster = Cluster::spawn(4, cfg());
+    cluster.set_reply_timeout(Duration::MAX);
+    let f = cluster.client().create("forever", Scheme::Raid5, 512).unwrap();
+    let mut want = pattern(3 * 512, 12);
+    f.write_at(0, &want).unwrap();
+    f.write_at(519, &[7; 256]).unwrap();
+    want[519..775].fill(7);
+    assert_eq!(f.read_at(0, want.len() as u64).unwrap(), want);
+    assert_parity_consistent(&cluster, &f);
+    cluster.shutdown();
+}
+
+#[test]
 fn one_file_handle_supports_concurrent_operations() {
     // No per-operation lock: a single File shared across threads runs
     // its reads and writes concurrently and correctly.

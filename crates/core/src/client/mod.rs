@@ -14,12 +14,14 @@
 //! the second — becomes a single edge in the graph rather than a
 //! full-batch barrier.
 //!
-//! Drivers are pure state machines; the executor (threaded SQ/CQ engine
-//! in `csar-cluster`, event-driven in `csar-sim`, synchronous
-//! [`run_driver`] in tests) owns all timing. Parity XOR is performed
-//! inside the driver when the inputs arrive; the `Compute` effect
-//! reports the number of bytes processed so the simulator can charge
-//! XOR time (the live executor completes it immediately).
+//! Drivers are pure state machines. One completion engine
+//! ([`engine::OpEngine`]) runs them for both executors — threads and
+//! channels in `csar-cluster`, the discrete-event model in `csar-sim` —
+//! which supply only a clock, a wire and a compute model;
+//! [`run_driver`] is the synchronous in-order reference. Parity XOR is
+//! performed inside the driver when the inputs arrive; the `Compute`
+//! effect reports the number of bytes processed so the simulator can
+//! charge XOR time (the live executor completes it immediately).
 //!
 //! ## Contract
 //!
@@ -35,6 +37,7 @@
 //!   further polls (late completions of cancelled requests) return no
 //!   effects and must be tolerated by both sides.
 
+pub mod engine;
 pub mod read;
 pub mod write;
 
@@ -125,6 +128,11 @@ impl OpOutput {
 pub trait OpDriver {
     /// Feed one completion, receive the effects it unblocks.
     fn poll(&mut self, c: Completion) -> Vec<Effect>;
+
+    /// Batch-compat issue order, set before `Begin` (the completion
+    /// engine's barrier-compat mode; see [`WriteDriver`]'s override).
+    /// Drivers with no issue-order choice ignore it.
+    fn set_batch_issue(&mut self, _on: bool) {}
 }
 
 /// Run a driver to completion against a synchronous per-request function

@@ -252,19 +252,6 @@ impl WriteDriver {
         }
     }
 
-    /// Batch-compat issue order: hold the whole-group compute (and so
-    /// its writes) until every partial group's RMW reads have landed.
-    /// This is the retired batch engine's schedule — read batch, one
-    /// compute, one write batch — which is also what the paper's
-    /// batch-synchronous PVFS client library did. The simulator's
-    /// barrier mode sets this so paper-reproduction figures keep the
-    /// overwrite RMW stall the testbed measured; the default (off)
-    /// overlaps the whole-group body with the partial-group RMW.
-    pub fn set_batch_issue(&mut self, on: bool) {
-        debug_assert!(!self.started, "issue order fixed before Begin");
-        self.batch_issue = on;
-    }
-
     fn layout(&self) -> &Layout {
         &self.hdr.layout
     }
@@ -717,6 +704,19 @@ impl WriteDriver {
 }
 
 impl OpDriver for WriteDriver {
+    /// Batch-compat issue order: hold the whole-group compute (and so
+    /// its writes) until every partial group's RMW reads have landed.
+    /// This is the retired batch engine's schedule — read batch, one
+    /// compute, one write batch — which is also what the paper's
+    /// batch-synchronous PVFS client library did. The simulator's
+    /// barrier mode sets this so paper-reproduction figures keep the
+    /// overwrite RMW stall the testbed measured; the default (off)
+    /// overlaps the whole-group body with the partial-group RMW.
+    fn set_batch_issue(&mut self, on: bool) {
+        debug_assert!(!self.started, "issue order fixed before Begin");
+        self.batch_issue = on;
+    }
+
     fn poll(&mut self, c: Completion) -> Vec<Effect> {
         if self.finished {
             // Late completions of an op that already reported Done.

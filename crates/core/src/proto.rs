@@ -441,6 +441,32 @@ impl Request {
         }
     }
 
+    /// May this request be transparently re-sent after a missed
+    /// deadline? Only side-effect-free reads qualify. `ParityReadLock`
+    /// explicitly does not: a slow grant usually means the request is
+    /// parked behind another client's critical section, and a second
+    /// acquisition attempt could double-lock the group.
+    pub fn retryable(&self) -> bool {
+        matches!(
+            self,
+            Request::ReadData { .. }
+                | Request::ReadMirror { .. }
+                | Request::ReadLatest { .. }
+                | Request::ParityRead { .. }
+                | Request::OverflowFetch { .. }
+                | Request::DumpOverflowTable { .. }
+                | Request::GetUsage { .. }
+                | Request::OverflowQuery { .. }
+                | Request::GetStats
+        )
+    }
+
+    /// Is this the §5.1 lock-acquiring parity read? Its round trip
+    /// includes any wait behind the lock's holder.
+    pub fn is_lock_read(&self) -> bool {
+        matches!(self, Request::ParityReadLock { .. })
+    }
+
     /// The propagated trace context, if any.
     pub fn trace_ctx(&self) -> Option<TraceCtx> {
         self.header().and_then(|h| h.trace)

@@ -15,7 +15,7 @@ use crate::layout::Span;
 use crate::locks::{Acquire, ParityLockTable};
 use crate::overflow::OverflowTable;
 use crate::proto::{ClientId, DiskCost, ReqHeader, Request, Response, ServerId};
-use csar_obs::trace::{derived_span, Phase, TraceCtx, TraceSpan};
+use csar_obs::trace::{Phase, TraceCtx, TraceSpan};
 use csar_obs::{Ctr, Gauge, MetricsRegistry};
 use csar_store::{
     CacheModel, FromJson, Json, JsonError, LocalStore, Payload, StoreImage, StreamKind, ToJson,
@@ -514,14 +514,8 @@ impl IoServer {
                     // into this server's trace ring (the extended
                     // `GetStats` surface) and onto the reply effect for
                     // the executor to piggyback.
-                    let lock_wait = next.hdr.trace.map(|ctx| TraceSpan {
-                        trace: ctx.trace,
-                        span: derived_span(ctx.span, Phase::LockWait),
-                        parent: ctx.span,
-                        phase: Phase::LockWait,
-                        start_ns: next.parked_at_ns,
-                        dur_ns: now_ns.saturating_sub(next.parked_at_ns),
-                        aux: self.id as u64,
+                    let lock_wait = next.hdr.trace.map(|cx| {
+                        TraceSpan::server(cx, Phase::LockWait, next.parked_at_ns, now_ns, self.id)
                     });
                     if let Some(s) = &lock_wait {
                         self.obs.record_trace(s);

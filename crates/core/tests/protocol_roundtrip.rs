@@ -10,50 +10,24 @@
 
 use csar_core::client::{run_driver, OpOutput, ReadDriver, WriteDriver};
 use csar_core::manager::FileMeta;
-use csar_core::proto::{Request, Response, Scheme, ServerId};
+use csar_core::proto::Scheme;
 use csar_core::recovery::parity_consistent;
-use csar_core::server::{Effect as SrvEffect, IoServer, ServerConfig};
+use csar_core::server::{Effect as SrvEffect, ServerConfig};
 use csar_core::{CsarError, Layout};
 use csar_store::{Payload, SplitMix64, StreamKind};
 
-/// A synchronous in-memory cluster for driving the state machines.
-struct MiniCluster {
-    servers: Vec<IoServer>,
-    down: Vec<bool>,
-    next_req: u64,
+mod common;
+use common::MiniCluster;
+
+/// A cluster whose servers use a small (64-byte) file-system block.
+fn mini(n: u32) -> MiniCluster {
+    MiniCluster::new(n, ServerConfig { fs_block: 64, ..ServerConfig::default() })
 }
 
 impl MiniCluster {
-    fn new(n: u32) -> Self {
-        let cfg = ServerConfig { fs_block: 64, ..ServerConfig::default() };
-        Self {
-            servers: (0..n).map(|i| IoServer::new(i, cfg)).collect(),
-            down: vec![false; n as usize],
-            next_req: 0,
-        }
-    }
-
-    /// One synchronous request/reply exchange — the per-request send
-    /// function `run_driver` expects.
-    fn exchange(&mut self, srv: ServerId, req: Request) -> Result<Response, CsarError> {
-        let req_id = self.next_req;
-        self.next_req += 1;
-        if self.down[srv as usize] {
-            return Ok(Response::Err(CsarError::ServerDown(srv)));
-        }
-        let effects = self.servers[srv as usize].handle(0, req_id, req);
-        let mut reply = None;
-        for SrvEffect::Reply { req_id: rid, resp, .. } in effects {
-            assert_eq!(rid, req_id, "single-client exchange got a foreign reply");
-            assert!(reply.is_none(), "single-client exchange got two replies");
-            reply = Some(resp);
-        }
-        Ok(reply.expect("single-client test should never park"))
-    }
-
     fn write(&mut self, meta: &FileMeta, off: u64, data: &[u8]) -> Result<u64, CsarError> {
         let mut d = WriteDriver::new(meta, off, Payload::from_vec(data.to_vec()));
-        match run_driver(&mut d, |srv, req| self.exchange(srv, req))? {
+        match run_driver(&mut d, |srv, req| Ok(self.exchange(srv, req)))? {
             OpOutput::Written { bytes } => Ok(bytes),
             other => panic!("unexpected {other:?}"),
         }
@@ -62,7 +36,7 @@ impl MiniCluster {
     fn read(&mut self, meta: &FileMeta, off: u64, len: u64) -> Result<Vec<u8>, CsarError> {
         let failed = self.down.iter().position(|d| *d).map(|i| i as u32);
         let mut d = ReadDriver::new(meta, off, len, failed);
-        let out = run_driver(&mut d, |srv, req| self.exchange(srv, req))?;
+        let out = run_driver(&mut d, |srv, req| Ok(self.exchange(srv, req)))?;
         Ok(out.into_payload().as_bytes().expect("real data").to_vec())
     }
 
@@ -109,7 +83,7 @@ fn pattern(len: usize, seed: u64) -> Vec<u8> {
 // ---------------------------------------------------------------------------
 
 fn roundtrip_case(scheme: Scheme, servers: u32, unit: u64, off: u64, len: usize) {
-    let mut c = MiniCluster::new(servers);
+    let mut c = mini(servers);
     let m = meta(scheme, servers, unit);
     let data = pattern(len, off ^ len as u64);
     c.write(&m, off, &data).unwrap();
@@ -152,7 +126,7 @@ fn roundtrip_two_servers() {
 #[test]
 fn sequential_overwrites_roundtrip() {
     for scheme in [Scheme::Raid5, Scheme::Hybrid] {
-        let mut c = MiniCluster::new(4);
+        let mut c = mini(4);
         let m = meta(scheme, 4, 16);
         let a = pattern(200, 1);
         let b = pattern(100, 2);
@@ -170,7 +144,7 @@ fn sequential_overwrites_roundtrip() {
 
 #[test]
 fn raid5_parity_consistent_after_unaligned_writes() {
-    let mut c = MiniCluster::new(4);
+    let mut c = mini(4);
     let m = meta(Scheme::Raid5, 4, 16);
     c.write(&m, 0, &pattern(300, 3)).unwrap();
     c.write(&m, 37, &pattern(90, 4)).unwrap();
@@ -180,7 +154,7 @@ fn raid5_parity_consistent_after_unaligned_writes() {
 
 #[test]
 fn hybrid_parity_describes_in_place_data_even_with_overflow() {
-    let mut c = MiniCluster::new(4);
+    let mut c = mini(4);
     let m = meta(Scheme::Hybrid, 4, 16);
     c.write(&m, 0, &pattern(300, 6)).unwrap();
     // Partial writes go to overflow; parity must STILL match the
@@ -193,7 +167,7 @@ fn hybrid_parity_describes_in_place_data_even_with_overflow() {
 #[test]
 fn raid5_nolock_leaves_same_parity_single_client() {
     // Without concurrency the no-lock variant computes identical parity.
-    let mut c = MiniCluster::new(4);
+    let mut c = mini(4);
     let m = meta(Scheme::Raid5NoLock, 4, 16);
     c.write(&m, 0, &pattern(300, 9)).unwrap();
     c.write(&m, 21, &pattern(50, 10)).unwrap();
@@ -207,7 +181,7 @@ fn raid5_nolock_leaves_same_parity_single_client() {
 /// every group's parity must equal a reference fold of its data blocks.
 fn known_answer_case(scheme: Scheme) {
     let (servers, unit) = (4u32, 4096u64);
-    let mut c = MiniCluster::new(servers);
+    let mut c = mini(servers);
     let m = meta(scheme, servers, unit);
     let group = (servers as u64 - 1) * unit;
     let total = 4 * group;
@@ -244,7 +218,7 @@ fn hybrid_known_answer_parity_after_mixed_writes() {
 
 #[test]
 fn hybrid_partial_write_leaves_in_place_data_untouched() {
-    let mut c = MiniCluster::new(4);
+    let mut c = mini(4);
     let m = meta(Scheme::Hybrid, 4, 16);
     let base = pattern(3 * 16, 11); // exactly one group
     c.write(&m, 0, &base).unwrap();
@@ -264,7 +238,7 @@ fn hybrid_partial_write_leaves_in_place_data_untouched() {
 
 #[test]
 fn hybrid_full_group_write_invalidates_overflow() {
-    let mut c = MiniCluster::new(4);
+    let mut c = mini(4);
     let m = meta(Scheme::Hybrid, 4, 16);
     c.write(&m, 0, &pattern(48, 13)).unwrap();
     c.write(&m, 4, &pattern(10, 14)).unwrap();
@@ -279,7 +253,7 @@ fn hybrid_full_group_write_invalidates_overflow() {
 
 #[test]
 fn hybrid_repeated_small_writes_grow_overflow_log() {
-    let mut c = MiniCluster::new(4);
+    let mut c = mini(4);
     let m = meta(Scheme::Hybrid, 4, 16);
     for i in 0..5u64 {
         c.write(&m, 4, &pattern(8, 16 + i)).unwrap();
@@ -298,7 +272,7 @@ fn hybrid_repeated_small_writes_grow_overflow_log() {
 // ---------------------------------------------------------------------------
 
 fn degraded_case(scheme: Scheme, servers: u32, unit: u64, kill: u32) {
-    let mut c = MiniCluster::new(servers);
+    let mut c = mini(servers);
     let m = meta(scheme, servers, unit);
     let data = pattern((servers as usize) * unit as usize * 3 + 11, 99);
     c.write(&m, 0, &data).unwrap();
@@ -323,7 +297,7 @@ fn degraded_read_raid5() {
 
 #[test]
 fn degraded_read_hybrid_including_overflow() {
-    let mut c = MiniCluster::new(4);
+    let mut c = mini(4);
     let m = meta(Scheme::Hybrid, 4, 16);
     let base = pattern(4 * 48, 21);
     c.write(&m, 0, &base).unwrap();
@@ -340,7 +314,7 @@ fn degraded_read_hybrid_including_overflow() {
 
 #[test]
 fn degraded_read_raid0_is_data_loss() {
-    let mut c = MiniCluster::new(4);
+    let mut c = mini(4);
     let m = meta(Scheme::Raid0, 4, 16);
     let data = pattern(100, 23);
     c.write(&m, 0, &data).unwrap();
@@ -371,7 +345,7 @@ fn interleaved_rmw_writers_keep_parity_consistent() {
     let servers = 6u32;
     let unit = 16u64;
     let m = meta(Scheme::Raid5, servers, unit);
-    let mut c = MiniCluster::new(servers);
+    let mut c = mini(servers);
     // Seed the file: 2 groups of data.
     let base = pattern(2 * 5 * unit as usize, 31);
     c.write(&m, 0, &base).unwrap();
@@ -452,7 +426,7 @@ fn randomized_writes_match_reference_model() {
         for n in [2u32, 3, 5] {
             let unit = 16u64;
             let mut rng = SplitMix64::new(1000 + n as u64);
-            let mut c = MiniCluster::new(n);
+            let mut c = mini(n);
             let m = meta(scheme, n, unit);
             let mut reference = vec![0u8; 600];
             for _ in 0..25 {

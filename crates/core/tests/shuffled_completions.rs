@@ -1,102 +1,43 @@
 //! Out-of-order completion coverage for the completion-driven drivers.
 //!
 //! The poll/completion contract promises that replies may be delivered
-//! in ANY order. These tests enforce it: a seeded shuffling executor
-//! runs reads and writes against real `IoServer`s delivering each op's
-//! completions in a random permutation, and the resulting on-disk state
-//! and read payloads must be byte-identical to an in-order run. A final
-//! test covers the failure path: a reply arriving *after* its server
-//! has been marked down (delivered last, after the op already failed)
-//! must be ignored, and a degraded retry must reconstruct the data.
+//! in ANY order. These tests enforce it: a seeded shuffling executor of
+//! the completion engine runs reads and writes against real `IoServer`s
+//! delivering each op's completions in a random permutation, and the
+//! resulting on-disk state and read payloads must be byte-identical to
+//! an in-order run ([`run_driver`]). The
+//! engine's accounting must balance in any order, and on the failure
+//! path: a reply arriving *after* its server has been marked down fails
+//! the op, and a degraded retry must reconstruct the data.
 
-use csar_core::client::{Completion, Effect, OpDriver, OpOutput, ReadDriver, WriteDriver};
+use csar_core::client::engine::{EngineConfig, Executor, Note, OpEngine};
+use csar_core::client::{run_driver, Completion, Effect, OpDriver, OpOutput, ReadDriver, Token, WriteDriver};
 use csar_core::manager::FileMeta;
 use csar_core::proto::{Request, Response, Scheme, ServerId};
-use csar_core::server::{Effect as SrvEffect, IoServer, ServerConfig};
+use csar_core::server::ServerConfig;
 use csar_core::{CsarError, Layout};
+use csar_obs::{Ctr, MetricsRegistry};
 use csar_store::{Payload, SplitMix64};
 
-struct Cluster {
-    servers: Vec<IoServer>,
-    down: Vec<bool>,
-    next_req: u64,
-}
+mod common;
+use common::MiniCluster;
 
-impl Cluster {
-    fn new(n: u32) -> Self {
-        Self {
-            servers: (0..n).map(|i| IoServer::new(i, ServerConfig::default())).collect(),
-            down: vec![false; n as usize],
-            next_req: 0,
-        }
-    }
-
-    fn exchange(&mut self, srv: ServerId, req: Request) -> Response {
-        if self.down[srv as usize] {
-            return Response::Err(CsarError::ServerDown(srv));
-        }
-        let id = self.next_req;
-        self.next_req += 1;
-        let mut effects = self.servers[srv as usize].handle(0, id, req);
-        assert_eq!(effects.len(), 1, "single-client requests reply immediately");
-        let SrvEffect::Reply { resp, .. } = effects.pop().unwrap();
-        resp
-    }
-
-    fn run_in_order<D: OpDriver + ?Sized>(&mut self, d: &mut D) -> Result<OpOutput, CsarError> {
-        csar_core::client::run_driver(d, |s, r| Ok(self.exchange(s, r)))
-    }
-
-    /// Drive `d` to completion, transmitting requests in issue order
-    /// (the contract) but delivering completions in a seed-determined
-    /// random permutation. Any completion still queued when the op
-    /// reports Done is delivered late and must produce no effects.
-    fn run_shuffled<D: OpDriver + ?Sized>(
-        &mut self,
-        d: &mut D,
-        rng: &mut SplitMix64,
-    ) -> Result<OpOutput, CsarError> {
-        let mut ready: Vec<Completion> = Vec::new();
-        let mut effects = d.poll(Completion::Begin);
-        loop {
-            let mut done = None;
-            for e in effects.drain(..) {
-                match e {
-                    Effect::Send { token, srv, req } => {
-                        let resp = self.exchange(srv, req);
-                        ready.push(Completion::Reply { token, resp });
-                    }
-                    Effect::Compute { token, .. } => {
-                        ready.push(Completion::ComputeDone { token });
-                    }
-                    Effect::Done(r) => done = Some(r),
-                }
-            }
-            if let Some(r) = done {
-                for c in ready.drain(..) {
-                    assert!(d.poll(c).is_empty(), "late completion produced effects");
-                }
-                return r;
-            }
-            assert!(!ready.is_empty(), "driver stalled without completing");
-            let i = rng.gen_usize(0..ready.len());
-            effects = d.poll(ready.swap_remove(i));
-        }
-    }
-
+impl MiniCluster {
     fn write_in_order(&mut self, meta: &FileMeta, off: u64, data: &[u8]) {
         let mut d = WriteDriver::new(meta, off, Payload::from_vec(data.to_vec()));
-        self.run_in_order(&mut d).unwrap();
+        run_driver(&mut d, |s, r| Ok(self.exchange(s, r))).unwrap();
     }
 
-    fn write_shuffled(&mut self, meta: &FileMeta, off: u64, data: &[u8], rng: &mut SplitMix64) {
+    /// Write through the completion engine with a per-server `window`,
+    /// delivering completions in a seed-determined random permutation.
+    fn write_shuffled(&mut self, meta: &FileMeta, off: u64, data: &[u8], window: u32, rng: &mut SplitMix64) {
         let mut d = WriteDriver::new(meta, off, Payload::from_vec(data.to_vec()));
-        self.run_shuffled(&mut d, rng).unwrap();
+        run_engine(self, &mut d, window, |ready| rng.gen_usize(0..ready.len())).0.unwrap();
     }
 
     fn read_in_order(&mut self, meta: &FileMeta, off: u64, len: u64) -> Vec<u8> {
         let mut d = ReadDriver::new(meta, off, len, None);
-        let out = self.run_in_order(&mut d).unwrap();
+        let out = run_driver(&mut d, |s, r| Ok(self.exchange(s, r))).unwrap();
         out.into_payload().as_bytes().unwrap().to_vec()
     }
 
@@ -109,7 +50,7 @@ impl Cluster {
         rng: &mut SplitMix64,
     ) -> Vec<u8> {
         let mut d = ReadDriver::new(meta, off, len, failed);
-        let out = self.run_shuffled(&mut d, rng).unwrap();
+        let out = run_engine(self, &mut d, u32::MAX, |ready| rng.gen_usize(0..ready.len())).0.unwrap();
         out.into_payload().as_bytes().unwrap().to_vec()
     }
 }
@@ -136,21 +77,23 @@ fn shuffled_writes_match_in_order_state_for_all_schemes() {
     const UNIT: u64 = 16;
     let group = (SERVERS as u64 - 1) * UNIT; // RAID5 data bytes per group
     for scheme in SCHEMES {
-        for seed in 0..8u64 {
+        for seed in 0..16u64 {
             let m = meta(scheme, SERVERS, UNIT);
             let mut rng = SplitMix64::new(0x5EED_0000 + seed * 131 + scheme as u64);
-            let mut reference = Cluster::new(SERVERS);
-            let mut shuffled = Cluster::new(SERVERS);
+            let mut reference = MiniCluster::new(SERVERS, ServerConfig::default());
+            let mut shuffled = MiniCluster::new(SERVERS, ServerConfig::default());
 
             let base = pattern(3 * group as usize, 7);
             reference.write_in_order(&m, 0, &base);
             shuffled.write_in_order(&m, 0, &base);
 
-            // Unaligned overwrite spanning partial head + full group + tail.
+            // Unaligned overwrite spanning partial head + full group + tail;
+            // seeds 8.. run it again through a one-request window per server.
+            let window = if seed < 8 { u32::MAX } else { 1 };
             let off = UNIT / 2;
             let data = pattern(group as usize + UNIT as usize + 5, 91);
             reference.write_in_order(&m, off, &data);
-            shuffled.write_shuffled(&m, off, &data, &mut rng);
+            shuffled.write_shuffled(&m, off, &data, window, &mut rng);
 
             let total = 3 * group;
             let want = reference.read_in_order(&m, 0, total);
@@ -169,64 +112,129 @@ fn shuffled_writes_match_in_order_state_for_all_schemes() {
     }
 }
 
-/// The engine-side accounting invariant, checked under shuffled
-/// delivery: every transmitted request ends in exactly one of
-/// delivered, retried-abandoned, timed-out or abandoned — no matter
-/// what order completions land in. The executor here plays the
-/// engine's role: it counts a request at Send, a delivery when the
-/// reply reaches the driver, and an abandonment for any reply still
-/// queued when the op reports Done.
+/// The test cluster as an executor of the real completion engine: each
+/// request is served at once (a down server answers `ServerDown`), but
+/// its completion waits in `ready` until the test picks it. The
+/// engine's accounting is counted the way the live cluster counts it.
+struct Shuffler<'a> {
+    c: &'a mut MiniCluster,
+    ready: Vec<Ready>,
+    obs: MetricsRegistry,
+}
+
+enum Ready {
+    Reply(u64, Response),
+    Compute(Token),
+}
+
+/// Records the token of every `Send` its driver emits, in order. The
+/// engine transmits strictly FIFO and these runs never retry, so the
+/// k-th request ID of an op carries the k-th token sent.
+struct Recorder<'d>(&'d mut dyn OpDriver, Vec<Token>);
+
+impl OpDriver for Recorder<'_> {
+    fn poll(&mut self, c: Completion) -> Vec<Effect> {
+        let effects = self.0.poll(c);
+        let sends = effects.iter().filter_map(|e| match e {
+            Effect::Send { token, .. } => Some(*token),
+            _ => None,
+        });
+        self.1.extend(sends);
+        effects
+    }
+}
+
+impl Executor for Shuffler<'_> {
+    fn now_ns(&mut self) -> u64 {
+        0
+    }
+
+    fn send(&mut self, srv: ServerId, req: Request) -> Result<u64, CsarError> {
+        let id = self.c.next_req;
+        let resp = self.c.exchange(srv, req);
+        self.obs.inc(Ctr::EngIssued);
+        self.ready.push(Ready::Reply(id, resp));
+        Ok(id)
+    }
+
+    fn compute(&mut self, token: Token, _bytes: u64) {
+        self.ready.push(Ready::Compute(token));
+    }
+
+    fn note(&mut self, note: Note) {
+        match note {
+            Note::Delivered { .. } => self.obs.inc(Ctr::EngDelivered),
+            Note::Retried | Note::TimedOut => unreachable!("this executor sets no deadline"),
+            Note::Abandoned(n) => self.obs.add(Ctr::EngAbandoned, n),
+            Note::WindowStall(_) => self.obs.inc(Ctr::EngWindowStalls),
+        }
+    }
+}
+
+/// Run `d` through the completion engine on `c` with a per-server
+/// `window`, delivering the ready completion at the index `pick`
+/// chooses each step. Returns the op's result and the engine
+/// accounting snapshot. Every completion still
+/// queued when the op ends is then delivered late, with its real token,
+/// and must produce no effects: done or failed, the driver is inert.
+fn run_engine(
+    c: &mut MiniCluster,
+    d: &mut dyn OpDriver,
+    window: u32,
+    mut pick: impl FnMut(&[Ready]) -> usize,
+) -> (Result<OpOutput, CsarError>, csar_obs::Snapshot) {
+    let cfg = EngineConfig { window, ..EngineConfig::default() };
+    let first_id = c.next_req;
+    let d = &mut Recorder(d, Vec::new());
+    let mut ex = Shuffler { c, ready: Vec::new(), obs: MetricsRegistry::new() };
+    let mut eng = OpEngine::default();
+    let mut out = eng.begin(cfg, None, d, &mut ex);
+    let res = loop {
+        if let Some(res) = out {
+            break res;
+        }
+        let i = pick(&ex.ready);
+        out = match ex.ready.swap_remove(i) {
+            Ready::Reply(id, resp) => eng.reply(id, resp, &[], d, &mut ex),
+            Ready::Compute(token) => eng.compute_done(token, d, &mut ex),
+        };
+    };
+    eng.finish(&mut ex);
+    for r in ex.ready.drain(..) {
+        let late = match r {
+            Ready::Reply(id, resp) => Completion::Reply { token: d.1[(id - first_id) as usize], resp },
+            Ready::Compute(token) => Completion::ComputeDone { token },
+        };
+        assert!(d.0.poll(late).is_empty(), "late completion produced effects");
+    }
+    (res, ex.obs.snapshot())
+}
+
+/// The engine's accounting invariant, checked under shuffled delivery:
+/// every transmitted request ends in exactly one of delivered,
+/// retried-abandoned, timed-out or abandoned — no matter what order
+/// completions land in, including replies still queued when the op
+/// reports Done; seeds 8.. add a one-request window holding requests
+/// back.
 #[test]
 fn completion_accounting_balances_in_any_order() {
-    use csar_obs::{Ctr, MetricsRegistry};
     const SERVERS: u32 = 5;
     const UNIT: u64 = 16;
     let group = (SERVERS as u64 - 1) * UNIT;
+    let mut stalls = 0;
     for scheme in SCHEMES {
-        for seed in 0..8u64 {
-            let obs = MetricsRegistry::new();
+        for seed in 0..16u64 {
             let m = meta(scheme, SERVERS, UNIT);
             let mut rng = SplitMix64::new(0xBA1A_0000 + seed * 131 + scheme as u64);
-            let mut c = Cluster::new(SERVERS);
+            let mut c = MiniCluster::new(SERVERS, ServerConfig::default());
             c.write_in_order(&m, 0, &pattern(3 * group as usize, 7));
 
             let data = pattern(group as usize + UNIT as usize + 5, 91);
             let mut d = WriteDriver::new(&m, UNIT / 2, Payload::from_vec(data));
-            let mut ready: Vec<Completion> = Vec::new();
-            let mut effects = d.poll(Completion::Begin);
-            loop {
-                let mut done = None;
-                for e in effects.drain(..) {
-                    match e {
-                        Effect::Send { token, srv, req } => {
-                            obs.inc(Ctr::EngIssued);
-                            let resp = c.exchange(srv, req);
-                            ready.push(Completion::Reply { token, resp });
-                        }
-                        Effect::Compute { token, .. } => {
-                            ready.push(Completion::ComputeDone { token })
-                        }
-                        Effect::Done(r) => done = Some(r),
-                    }
-                }
-                if let Some(r) = done {
-                    r.unwrap();
-                    for cpl in ready.drain(..) {
-                        if matches!(cpl, Completion::Reply { .. }) {
-                            obs.inc(Ctr::EngAbandoned);
-                        }
-                        assert!(d.poll(cpl).is_empty(), "late completion produced effects");
-                    }
-                    break;
-                }
-                let i = rng.gen_usize(0..ready.len());
-                let cpl = ready.swap_remove(i);
-                if matches!(cpl, Completion::Reply { .. }) {
-                    obs.inc(Ctr::EngDelivered);
-                }
-                effects = d.poll(cpl);
-            }
-            let snap = obs.snapshot();
+            let window = if seed < 8 { u32::MAX } else { 1 };
+            let (res, snap) = run_engine(&mut c, &mut d, window, |ready| rng.gen_usize(0..ready.len()));
+            res.unwrap();
+            stalls += snap.counter(Ctr::EngWindowStalls.name());
             assert!(snap.counter(Ctr::EngIssued.name()) > 0, "{scheme:?}: nothing issued");
             assert!(
                 snap.engine_balanced(),
@@ -235,66 +243,42 @@ fn completion_accounting_balances_in_any_order() {
             );
         }
     }
+    assert!(stalls > 0, "a one-request window must hold some request back");
 }
 
-/// When an op fails with replies still in flight, those replies are
-/// abandoned (the threaded engine counts them on drop) — and the
-/// balance invariant must still hold, with a nonzero abandoned leg.
+/// When an op fails with replies still in flight, the engine abandons
+/// them when the op is finished — and the balance invariant must still
+/// hold, with a nonzero abandoned leg. The abandoned replies then reach
+/// the failed driver late and are ignored.
 #[test]
 fn failed_op_abandons_inflight_replies_and_still_balances() {
-    use csar_obs::{Ctr, MetricsRegistry};
     const SERVERS: u32 = 4;
     const UNIT: u64 = 16;
     let m = meta(Scheme::Raid5, SERVERS, UNIT);
     let total = 2 * 3 * UNIT;
-    let mut c = Cluster::new(SERVERS);
+    let mut c = MiniCluster::new(SERVERS, ServerConfig::default());
     c.write_in_order(&m, 0, &pattern(total as usize, 13));
     c.down[1] = true;
 
-    let obs = MetricsRegistry::new();
+    // Deliver the dead server's error as soon as it is queued, so the
+    // op fails while healthy replies are still in flight.
     let mut d = ReadDriver::new(&m, 0, total, None);
-    let mut ready: Vec<Completion> = Vec::new();
-    let mut effects = d.poll(Completion::Begin);
-    let mut result = None;
-    loop {
-        for e in effects.drain(..) {
-            match e {
-                Effect::Send { token, srv, req } => {
-                    obs.inc(Ctr::EngIssued);
-                    let resp = c.exchange(srv, req);
-                    ready.push(Completion::Reply { token, resp });
-                }
-                Effect::Compute { token, .. } => ready.push(Completion::ComputeDone { token }),
-                Effect::Done(r) => result = Some(r),
-            }
-        }
-        if result.is_some() {
-            break;
-        }
-        // Deliver the dead server's error as soon as it is queued, so
-        // the op fails while healthy replies are still in flight.
-        let i = ready
-            .iter()
-            .position(|cpl| {
-                matches!(cpl, Completion::Reply { resp: Response::Err(_), .. })
-            })
-            .unwrap_or(0);
-        let cpl = ready.remove(i);
-        if matches!(cpl, Completion::Reply { .. }) {
-            obs.inc(Ctr::EngDelivered);
-        }
-        effects = d.poll(cpl);
-    }
-    assert!(result.unwrap().is_err(), "reading through a down server must fail");
-    let leftover =
-        ready.iter().filter(|cpl| matches!(cpl, Completion::Reply { .. })).count() as u64;
-    assert!(leftover > 0, "some replies must still be in flight at failure");
-    obs.add(Ctr::EngAbandoned, leftover);
-    for cpl in ready.drain(..) {
-        assert!(d.poll(cpl).is_empty(), "late completion after failure produced effects");
-    }
-    let snap = obs.snapshot();
-    assert!(snap.counter(Ctr::EngAbandoned.name()) > 0);
+    let (res, snap) = run_engine(&mut c, &mut d, u32::MAX, |ready| {
+        ready.iter().position(|r| matches!(r, Ready::Reply(_, Response::Err(_)))).unwrap_or(0)
+    });
+    assert!(res.is_err(), "reading through a down server must fail");
+    assert!(snap.counter(Ctr::EngAbandoned.name()) > 0, "replies must still be in flight");
+    assert!(snap.engine_balanced(), "accounting unbalanced: {:?}", snap.counters);
+
+    // The same for a write: a partial head, a full group and a partial
+    // tail, so RMW reads and whole-group writes are in flight together.
+    let data = Payload::from_vec(pattern(3 * UNIT as usize + UNIT as usize, 29));
+    let mut d = WriteDriver::new(&m, UNIT / 2, data);
+    let (res, snap) = run_engine(&mut c, &mut d, u32::MAX, |ready| {
+        ready.iter().position(|r| matches!(r, Ready::Reply(_, Response::Err(_)))).unwrap_or(0)
+    });
+    assert!(res.is_err(), "writing through a down server must fail");
+    assert!(snap.counter(Ctr::EngAbandoned.name()) > 0, "replies must still be in flight");
     assert!(snap.engine_balanced(), "accounting unbalanced: {:?}", snap.counters);
 }
 
@@ -307,7 +291,7 @@ fn get_stats_round_trips_a_server_snapshot() {
     const SERVERS: u32 = 4;
     const UNIT: u64 = 16;
     let m = meta(Scheme::Raid5, SERVERS, UNIT);
-    let mut c = Cluster::new(SERVERS);
+    let mut c = MiniCluster::new(SERVERS, ServerConfig::default());
     c.write_in_order(&m, 0, &pattern(3 * 3 * UNIT as usize, 5));
 
     let resp = c.exchange(0, Request::GetStats);
@@ -331,49 +315,23 @@ fn late_server_down_reply_then_degraded_retry() {
     const UNIT: u64 = 16;
     let m = meta(Scheme::Raid5, SERVERS, UNIT);
     let total = 2 * 3 * UNIT; // two full groups
-    let mut c = Cluster::new(SERVERS);
+    let mut c = MiniCluster::new(SERVERS, ServerConfig::default());
     let base = pattern(total as usize, 13);
     c.write_in_order(&m, 0, &base);
 
     // Server 1 dies. A healthy-path read is already in flight: deliver
-    // every good reply first, and the dead server's error LAST.
+    // every good reply first, and the dead server's error LAST. The
+    // engine abandons whatever is still queued behind the failure.
     c.down[1] = true;
     let mut d = ReadDriver::new(&m, 0, total, None);
-    let mut good: Vec<Completion> = Vec::new();
-    let mut bad: Vec<Completion> = Vec::new();
-    let mut effects = d.poll(Completion::Begin);
-    let mut result = None;
-    loop {
-        for e in effects.drain(..) {
-            match e {
-                Effect::Send { token, srv, req } => {
-                    let resp = c.exchange(srv, req);
-                    let bucket = if matches!(resp, Response::Err(_)) { &mut bad } else { &mut good };
-                    bucket.push(Completion::Reply { token, resp });
-                }
-                Effect::Compute { token, .. } => good.push(Completion::ComputeDone { token }),
-                Effect::Done(r) => result = Some(r),
-            }
-        }
-        if result.is_some() {
-            break;
-        }
-        let c = if good.is_empty() {
-            bad.pop().expect("driver stalled without completing")
-        } else {
-            good.remove(0)
-        };
-        effects = d.poll(c);
-    }
-    assert!(!bad.is_empty() || good.is_empty(), "the down server's reply was never issued");
-    match result.unwrap() {
+    let (res, snap) = run_engine(&mut c, &mut d, u32::MAX, |ready| {
+        ready.iter().position(|r| !matches!(r, Ready::Reply(_, Response::Err(_)))).unwrap_or(0)
+    });
+    match res {
         Err(CsarError::ServerDown(1)) => {}
         other => panic!("expected ServerDown(1), got {other:?}"),
     }
-    // Any reply still queued behind the failure is a late completion.
-    for late in good.drain(..).chain(bad.drain(..)) {
-        assert!(d.poll(late).is_empty(), "late completion after failure produced effects");
-    }
+    assert!(snap.engine_balanced(), "accounting unbalanced: {:?}", snap.counters);
 
     // The caller marks server 1 down and retries degraded: every byte
     // comes back, the dead server's blocks via XOR reconstruction.

@@ -23,39 +23,21 @@
 
 use csar_core::client::{Completion, Effect, OpDriver, ReadDriver, WriteDriver};
 use csar_core::manager::FileMeta;
-use csar_core::proto::{Request, Response, Scheme, ServerId};
-use csar_core::server::{Effect as SrvEffect, IoServer, ServerConfig};
+use csar_core::proto::{Request, Scheme, ServerId};
+use csar_core::server::ServerConfig;
 use csar_core::Layout;
 use csar_store::Payload;
+
+mod common;
+use common::MiniCluster;
 
 const UNIT: u64 = 16;
 const SERVERS: u32 = 4;
 
-struct Cluster {
-    servers: Vec<IoServer>,
-    next: u64,
-}
-
-impl Cluster {
-    fn new() -> Self {
-        Self {
-            servers: (0..SERVERS).map(|i| IoServer::new(i, ServerConfig::default())).collect(),
-            next: 0,
-        }
-    }
-
-    fn apply(&mut self, srv: ServerId, req: Request) -> Response {
-        let id = self.next;
-        self.next += 1;
-        let mut effects = self.servers[srv as usize].handle(0, id, req);
-        assert_eq!(effects.len(), 1, "single-client requests reply immediately");
-        let SrvEffect::Reply { resp, .. } = effects.pop().unwrap();
-        resp
-    }
-
+impl MiniCluster {
     fn write_all(&mut self, meta: &FileMeta, off: u64, data: &[u8]) {
         let mut d = WriteDriver::new(meta, off, Payload::from_vec(data.to_vec()));
-        csar_core::client::run_driver(&mut d, |s, r| Ok(self.apply(s, r))).unwrap();
+        csar_core::client::run_driver(&mut d, |s, r| Ok(self.exchange(s, r))).unwrap();
     }
 
     /// Run a write but deliver only the first `deliver` requests of its
@@ -84,7 +66,7 @@ impl Cluster {
                 let total = wave.len();
                 for e in wave.into_iter().take(deliver) {
                     let Effect::Send { srv, req, .. } = e else { unreachable!() };
-                    self.apply(srv, req);
+                    self.exchange(srv, req);
                 }
                 return total; // crash: remaining messages lost
             }
@@ -92,7 +74,7 @@ impl Cluster {
             for e in wave {
                 match e {
                     Effect::Send { token, srv, req } => {
-                        let resp = self.apply(srv, req);
+                        let resp = self.exchange(srv, req);
                         next.extend(d.poll(Completion::Reply { token, resp }));
                     }
                     Effect::Compute { token, .. } => {
@@ -113,7 +95,7 @@ impl Cluster {
         let mut d = ReadDriver::new(meta, off, len, Some(failed));
         let out = csar_core::client::run_driver(&mut d, |s, r| {
             assert_ne!(s, failed, "degraded read must avoid the failed server");
-            Ok(self.apply(s, r))
+            Ok(self.exchange(s, r))
         })
         .unwrap();
         out.into_payload().as_bytes().unwrap().to_vec()
@@ -131,7 +113,7 @@ fn base_pattern() -> Vec<u8> {
 
 #[test]
 fn raid5_write_hole_corrupts_neighbour_reconstruction() {
-    let mut c = Cluster::new();
+    let mut c = MiniCluster::new(SERVERS, ServerConfig::default());
     let m = meta(Scheme::Raid5);
     let base = base_pattern();
     c.write_all(&m, 0, &base);
@@ -158,7 +140,7 @@ fn hybrid_partial_write_is_crash_consistent_at_every_prefix() {
     // A Hybrid partial write's final batch has 2 messages (overflow
     // primary + overflow mirror). Crash after 0, 1 and 2 deliveries.
     for deliver in 0..=2usize {
-        let mut c = Cluster::new();
+        let mut c = MiniCluster::new(SERVERS, ServerConfig::default());
         let m = meta(Scheme::Hybrid);
         let base = base_pattern();
         c.write_all(&m, 0, &base);
@@ -191,7 +173,7 @@ fn hybrid_crash_with_home_lost_recovers_from_mirror_copy() {
     // Both overflow copies delivered, then the home server (holding the
     // primary overflow copy) dies: the mirror copy on the next server
     // still serves the update.
-    let mut c = Cluster::new();
+    let mut c = MiniCluster::new(SERVERS, ServerConfig::default());
     let m = meta(Scheme::Hybrid);
     let base = base_pattern();
     c.write_all(&m, 0, &base);

@@ -13,7 +13,9 @@
 //! change simulated wire sizes. Servers never allocate IDs: their child
 //! spans use [`derived_span`], a deterministic mix of the parent span
 //! ID and the phase, which keeps simulator traces bit-identical across
-//! replays (the sim allocates client-side IDs from its own counter).
+//! replays. Client spans number themselves within their trace
+//! ([`op_span`]); only trace IDs come from an allocator (the sim's own
+//! counter, for the same reason).
 //!
 //! Timestamps are nanoseconds since an epoch chosen by the recorder:
 //! the cluster start `Instant` on a live deployment (one shared epoch
@@ -27,8 +29,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TraceId(pub u64);
 
-/// Identifies one span within a trace. `SpanId(0)` means "no parent".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// Identifies one span within a trace. `SpanId(0)`, the default, means
+/// "no span" (and so "no parent").
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SpanId(pub u64);
 
 impl SpanId {
@@ -141,6 +144,21 @@ pub struct TraceSpan {
 }
 
 impl TraceSpan {
+    /// Server `srv`'s `phase` span for the request attempt `cx` names,
+    /// from `start_ns` to `end_ns`. Its ID is [`derived_span`]`(cx.span,
+    /// phase)`, so servers need no ID allocator.
+    pub fn server(cx: TraceCtx, phase: Phase, start_ns: u64, end_ns: u64, srv: u32) -> TraceSpan {
+        TraceSpan {
+            trace: cx.trace,
+            span: derived_span(cx.span, phase),
+            parent: cx.span,
+            phase,
+            start_ns,
+            dur_ns: end_ns.saturating_sub(start_ns),
+            aux: srv as u64,
+        }
+    }
+
     /// Exclusive end, saturating (a torn or clamped record can never
     /// place its start after its end — see `MetricsRegistry::reset`).
     pub fn end_ns(&self) -> u64 {
@@ -149,7 +167,6 @@ impl TraceSpan {
 }
 
 static NEXT_TRACE: AtomicU64 = AtomicU64::new(1);
-static NEXT_SPAN: AtomicU64 = AtomicU64::new(1);
 
 /// Allocate a fresh process-unique trace ID (live clusters; the
 /// simulator allocates from its own counter for replay determinism).
@@ -157,9 +174,12 @@ pub fn next_trace_id() -> TraceId {
     TraceId(NEXT_TRACE.fetch_add(1, Ordering::Relaxed))
 }
 
-/// Allocate a fresh process-unique span ID.
-pub fn next_span_id() -> SpanId {
-    SpanId(NEXT_SPAN.fetch_add(1, Ordering::Relaxed))
+/// The `n`th client-side span of `trace` (`n` from 1): the trace ID in
+/// the high bits, a per-op sequence number in the low 24. Span IDs thus
+/// need no allocator of their own, stay unique wherever trace IDs are,
+/// and keep the high bit clear for [`derived_span`].
+pub fn op_span(trace: TraceId, n: u64) -> SpanId {
+    SpanId(trace.0 << 24 | n)
 }
 
 /// Deterministically derive a child span ID from its parent and phase.
@@ -301,8 +321,9 @@ mod tests {
         let b = next_trace_id();
         assert_ne!(a, b);
         assert_ne!(a.0, 0);
-        let s = next_span_id();
-        assert_ne!(s, SpanId::NONE);
+        assert_ne!(op_span(a, 1), op_span(a, 2));
+        assert_ne!(op_span(a, 1), op_span(b, 1));
+        assert!(op_span(a, 1) != SpanId::NONE && op_span(a, 1).0 < 1 << 63);
     }
 
     #[test]

@@ -1,18 +1,24 @@
 //! The simulated cluster: csar-core engines + timing model + event loop.
+//!
+//! Clients run the shared completion engine ([`OpEngine`]) with an
+//! unbounded window and no deadline; this module is only its executor —
+//! the virtual clock, the modelled client CPU/NIC, sim-owned request and
+//! trace IDs — plus the server-side cost model.
 
 use crate::config::HwProfile;
 use crate::disk::DiskModel;
 use crate::engine::EventQueue;
 use crate::resource::FifoResource;
 use crate::{mb_per_sec, transfer_ns};
-use csar_core::client::{Completion, Effect, OpDriver, ReadDriver, Token, WriteDriver};
+use csar_core::client::engine::{EngineConfig, Executor, Finished, OpEngine, OpStats};
+use csar_core::client::{OpDriver, ReadDriver, Token, WriteDriver};
 use csar_core::manager::FileMeta;
-use csar_core::proto::{Request, Response, Scheme};
+use csar_core::proto::{Request, Response, Scheme, ServerId};
 use csar_core::server::{Effect as SrvEffect, IoServer, ServerConfig};
-use csar_core::Layout;
-use csar_obs::trace::{derived_span, Phase as TrPhase, SpanId, TraceCtx, TraceId, TraceSpan};
+use csar_core::{CsarError, Layout};
+use csar_obs::trace::{Phase as TrPhase, TraceId, TraceSpan};
 use csar_store::{Bytes, Payload, SplitMix64};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// One workload operation issued by a simulated client.
 #[derive(Debug, Clone, Copy)]
@@ -85,34 +91,12 @@ struct NodeRes {
     cpu_out: FifoResource,
 }
 
-/// Per-operation completion-delivery trace.
-#[derive(Debug, Clone, Copy, Default)]
-struct OpTrace {
-    started: u64,
-    first_reply: Option<u64>,
-    requests: u64,
-    in_flight: u64,
-    max_in_flight: u64,
-    stall_ns: u64,
-    /// Causal-trace ids of the op (0 when tracing is off): every span
-    /// the op produces carries `trace_id` and parents under `root`.
-    trace_id: u64,
-    root: u64,
-}
-
 struct ClientState {
     res: NodeRes,
+    /// The op in progress, and the engine running it (one per client,
+    /// reused op to op so its tables keep their allocations).
     driver: Option<Box<dyn OpDriver>>,
-    /// Outstanding requests: req_id → the driver's completion token.
-    pending: HashMap<u64, Token>,
-    /// Barrier-compat mode only: fully-ingested replies held back until
-    /// the whole in-flight wave has arrived (ingest time, token, reply).
-    held: Vec<(u64, Token, Response)>,
-    trace: OpTrace,
-    /// Tracing only: per in-flight request, the attempt's wire span id,
-    /// virtual send time and destination server (wire-RTT span at
-    /// delivery).
-    sent_spans: HashMap<u64, (SpanId, u64, u32)>,
+    eng: OpEngine,
     script: VecDeque<Op>,
     active: bool,
     /// Serialized client-side overhead charged before each op (the
@@ -165,9 +149,7 @@ pub struct SimCluster {
     failed: Option<u32>,
     /// Extra per-request service delay per server (straggler modelling).
     slowdown_ns: Vec<u64>,
-    /// Barrier-compat delivery: hold every reply until the op's whole
-    /// in-flight wave has arrived, then deliver sequentially — the old
-    /// batch-synchronous engine, kept for old-vs-new benchmarking.
+    /// Barrier-compat operation (see [`SimCluster::set_barrier_mode`]).
     barrier: bool,
     /// Carry real bytes in write payloads instead of `Payload::Phantom`,
     /// so the parity folds do real XOR work on the host. Virtual-time
@@ -180,22 +162,18 @@ pub struct SimCluster {
     /// long-lived buffer means measured phases time the byte pipeline,
     /// not the page allocator faulting in fresh payloads.
     pattern: Bytes,
-    /// Deterministic causal tracing on the virtual clock. Span and
-    /// trace ids come from sim-owned counters (never the process-global
-    /// allocators), so a replayed run emits bit-identical spans.
+    /// Deterministic causal tracing on the virtual clock. Trace ids come
+    /// from a sim-owned counter (never the process-global allocator) and
+    /// span ids from them, so a replayed run emits bit-identical spans.
     tracing: bool,
     next_trace: u64,
-    next_span: u64,
     traces: Vec<TraceSpan>,
     // Phase accounting.
     active_clients: usize,
     bytes_written: u64,
     bytes_read: u64,
-    ops: u64,
-    requests: u64,
-    max_in_flight: u64,
-    ttfb_ns: u64,
-    stall_ns: u64,
+    /// The phase's completed ops, merged.
+    op_stats: OpStats,
 }
 
 impl SimCluster {
@@ -226,10 +204,7 @@ impl SimCluster {
                 .map(|_| ClientState {
                     res: NodeRes::default(),
                     driver: None,
-                    pending: HashMap::new(),
-                    held: Vec::new(),
-                    trace: OpTrace::default(),
-                    sent_spans: HashMap::new(),
+                    eng: OpEngine::default(),
                     script: VecDeque::new(),
                     active: false,
                     op_overhead_ns: 0,
@@ -246,16 +221,11 @@ impl SimCluster {
             pattern: Bytes::new(),
             tracing: false,
             next_trace: 0,
-            next_span: 0,
             traces: Vec::new(),
             active_clients: 0,
             bytes_written: 0,
             bytes_read: 0,
-            ops: 0,
-            requests: 0,
-            max_in_flight: 0,
-            ttfb_ns: 0,
-            stall_ns: 0,
+            op_stats: OpStats::default(),
         }
     }
 
@@ -287,14 +257,13 @@ impl SimCluster {
     /// Drop a file from every server's page cache ("contents removed
     /// from the cache" — the paper's overwrite setup).
     pub fn evict_file(&mut self, file: usize) {
-        let fh = self.files[file].fh;
-        let hdr = self.hdr(file);
+        let m = &self.files[file];
+        let hdr = csar_core::proto::ReqHeader::new(m.fh, m.layout, m.scheme);
         for s in 0..self.servers.len() {
             let req_id = self.next_req;
             self.next_req += 1;
             self.servers[s].handle(u32::MAX, req_id, Request::EvictFile { hdr });
         }
-        let _ = fh;
     }
 
     /// Fail-stop a server: subsequent reads run degraded (reconstructing
@@ -318,15 +287,16 @@ impl SimCluster {
     }
 
     /// Switch between pipelined (default, `false`) and barrier-compat
-    /// (`true`) operation. Barrier-compat reproduces the retired
-    /// batch-synchronous engine on both sides of the exchange: every
-    /// reply is held until the op's whole in-flight wave has arrived
-    /// (the held time is charged to `stall_ns`), and write drivers are
-    /// put in batch issue order ([`WriteDriver::set_batch_issue`]) so
-    /// whole-group writes ride behind the RMW read chain and parity
-    /// unlocks close the combined write wave. The paper-reproduction
-    /// harness pins this on — the paper's PVFS client was
-    /// batch-synchronous — while comparison runs toggle it.
+    /// (`true`) operation ([`EngineConfig::barrier`]). Barrier-compat
+    /// reproduces the retired batch-synchronous engine on both sides of
+    /// the exchange: every reply is held until the op's whole in-flight
+    /// wave has arrived (the held time is charged to `stall_ns`), and
+    /// write drivers are put in batch issue order
+    /// ([`OpDriver::set_batch_issue`]) so whole-group writes ride behind
+    /// the RMW read chain and parity unlocks close the combined write
+    /// wave. The paper-reproduction harness pins this on — the paper's
+    /// PVFS client was batch-synchronous — while comparison runs toggle
+    /// it.
     pub fn set_barrier_mode(&mut self, barrier: bool) {
         self.barrier = barrier;
     }
@@ -421,30 +391,6 @@ impl SimCluster {
         std::mem::take(&mut self.traces)
     }
 
-    fn alloc_trace(&mut self) -> TraceId {
-        self.next_trace += 1;
-        TraceId(self.next_trace)
-    }
-
-    /// Sim span ids count up from 1 with the high bit clear; server-side
-    /// derived ids set the high bit, so the two spaces never collide.
-    fn alloc_span(&mut self) -> SpanId {
-        self.next_span += 1;
-        SpanId(self.next_span)
-    }
-
-    fn emit(&mut self, trace: u64, span: SpanId, parent: SpanId, phase: TrPhase, start: u64, end: u64, aux: u64) {
-        self.traces.push(TraceSpan {
-            trace: TraceId(trace),
-            span,
-            parent,
-            phase,
-            start_ns: start,
-            dur_ns: end.saturating_sub(start),
-            aux,
-        });
-    }
-
     /// Merged metrics snapshot: every server's registry plus the
     /// process-global client-driver registry.
     pub fn metrics_snapshot(&self) -> csar_obs::Snapshot {
@@ -464,11 +410,6 @@ impl SimCluster {
         total
     }
 
-    fn hdr(&self, file: usize) -> csar_core::proto::ReqHeader {
-        let m = &self.files[file];
-        csar_core::proto::ReqHeader::new(m.fh, m.layout, m.scheme)
-    }
-
     /// Run one barrier-delimited phase to completion.
     ///
     /// # Panics
@@ -479,11 +420,7 @@ impl SimCluster {
         self.bytes_written = 0;
         self.bytes_read = 0;
         self.active_clients = 0;
-        self.ops = 0;
-        self.requests = 0;
-        self.max_in_flight = 0;
-        self.ttfb_ns = 0;
-        self.stall_ns = 0;
+        self.op_stats = OpStats::default();
         for (c, ops) in phase {
             assert!(c < self.clients.len(), "client {c} out of range");
             if ops.is_empty() {
@@ -515,11 +452,11 @@ impl SimCluster {
             flushed_duration_ns: flush - start,
             bytes_written: self.bytes_written,
             bytes_read: self.bytes_read,
-            ops: self.ops,
-            requests: self.requests,
-            max_in_flight: self.max_in_flight,
-            ttfb_ns: self.ttfb_ns,
-            stall_ns: self.stall_ns,
+            ops: self.op_stats.ops,
+            requests: self.op_stats.requests,
+            max_in_flight: self.op_stats.max_in_flight,
+            ttfb_ns: self.op_stats.ttfb_ns,
+            stall_ns: self.op_stats.queue_stall_ns,
         }
     }
 
@@ -548,57 +485,10 @@ impl SimCluster {
                     .max(fully_arrived);
                 self.queue.push(t, Ev::ClientDeliver { c, req_id, resp });
             }
-            Ev::ClientDeliver { c, req_id, resp } => self.deliver(c, req_id, resp),
-            Ev::ComputeDone { c, token } => {
-                let effects = {
-                    let driver = self.clients[c].driver.as_mut().expect("no driver");
-                    driver.poll(Completion::ComputeDone { token })
-                };
-                self.act(c, effects);
+            Ev::ClientDeliver { c, req_id, resp } => {
+                self.drive(c, |eng, d, io| eng.reply(req_id, resp, &[], d, io))
             }
-        }
-    }
-
-    /// A fully-ingested reply reaches the client. Pipelined mode polls
-    /// the driver immediately; barrier-compat mode holds it until the
-    /// whole in-flight wave has arrived (the retired engine's behavior),
-    /// charging the held time to `stall_ns`.
-    fn deliver(&mut self, c: usize, req_id: u64, resp: Response) {
-        let token = {
-            let st = &mut self.clients[c];
-            let token = st.pending.remove(&req_id).expect("unexpected reply");
-            st.trace.in_flight -= 1;
-            if st.trace.first_reply.is_none() {
-                st.trace.first_reply = Some(self.now);
-            }
-            token
-        };
-        if self.tracing {
-            if let Some((span, sent, srv)) = self.clients[c].sent_spans.remove(&req_id) {
-                let tr = self.clients[c].trace;
-                self.emit(tr.trace_id, span, SpanId(tr.root), TrPhase::WireRtt, sent, self.now, srv as u64);
-            }
-        }
-        if !self.barrier {
-            let effects = {
-                let driver = self.clients[c].driver.as_mut().expect("no driver");
-                driver.poll(Completion::Reply { token, resp })
-            };
-            self.act(c, effects);
-            return;
-        }
-        self.clients[c].held.push((self.now, token, resp));
-        if self.clients[c].trace.in_flight > 0 {
-            return; // wave still in flight; keep holding
-        }
-        let held = std::mem::take(&mut self.clients[c].held);
-        for (arrived, token, resp) in held {
-            self.clients[c].trace.stall_ns += self.now - arrived;
-            let effects = {
-                let driver = self.clients[c].driver.as_mut().expect("no driver");
-                driver.poll(Completion::Reply { token, resp })
-            };
-            self.act(c, effects);
+            Ev::ComputeDone { c, token } => self.drive(c, |eng, d, io| eng.compute_done(token, d, io)),
         }
     }
 
@@ -614,9 +504,12 @@ impl SimCluster {
         if overhead > 0 {
             self.clients[c].res.cpu.acquire(self.now, overhead);
         }
-        let mut driver: Box<dyn OpDriver> = match op {
+        // Logical bytes are accounted on op start; completion is what
+        // gates the phase end.
+        let driver: Box<dyn OpDriver> = match op {
             Op::Write { file, off, len } => {
                 assert!(len > 0, "zero-length write in script");
+                self.bytes_written += len;
                 // Update the shared EOF view first so later ops (and the
                 // §5.2 classification) see it, like PVFS metadata updates.
                 let meta = {
@@ -629,119 +522,44 @@ impl SimCluster {
                 } else {
                     Payload::Phantom(len)
                 };
-                let mut wd = WriteDriver::new(&meta, off, payload);
-                // Barrier-compat reproduces the retired batch engine:
-                // besides holding reply delivery (see `deliver`), the
-                // driver must also keep the batch issue ORDER — whole-
-                // group writes ride behind the RMW reads instead of
-                // fanning out at Begin. Without this the bulk writes
-                // overlap the uncached pre-read wave and the overwrite
-                // RMW stall the paper measured disappears.
-                if self.barrier {
-                    wd.set_batch_issue(true);
-                }
-                Box::new(wd)
+                Box::new(WriteDriver::new(&meta, off, payload))
             }
             Op::Read { file, off, len } => {
                 assert!(len > 0, "zero-length read in script");
+                self.bytes_read += len;
                 Box::new(ReadDriver::new(&self.files[file], off, len, self.failed))
             }
         };
-        let effects = driver.poll(Completion::Begin);
-        let (trace_id, root) = if self.tracing {
-            (self.alloc_trace().0, self.alloc_span().0)
-        } else {
-            (0, 0)
-        };
+        let trace = self.tracing.then(|| {
+            self.next_trace += 1;
+            TraceId(self.next_trace)
+        });
+        let cfg = EngineConfig { barrier: self.barrier, ..EngineConfig::default() };
         self.clients[c].driver = Some(driver);
-        self.clients[c].trace =
-            OpTrace { started: self.now, trace_id, root, ..OpTrace::default() };
-        // Account logical bytes on op start; completion is what gates the
-        // phase end.
-        match op {
-            Op::Write { len, .. } => self.bytes_written += len,
-            Op::Read { len, .. } => self.bytes_read += len,
-        }
-        self.act(c, effects);
+        self.drive(c, |eng, d, io| eng.begin(cfg, trace, d, io));
     }
 
-    /// Issue a driver's effects in order: transmit sends, charge XOR
-    /// time, finish the op on `Done`.
-    fn act(&mut self, c: usize, effects: Vec<Effect>) {
-        let p = self.profile;
-        for e in effects {
-            match e {
-                Effect::Send { token, srv, mut req } => {
-                    let req_id = self.next_req;
-                    self.next_req += 1;
-                    self.clients[c].pending.insert(req_id, token);
-                    let tr = &mut self.clients[c].trace;
-                    tr.requests += 1;
-                    tr.in_flight += 1;
-                    tr.max_in_flight = tr.max_in_flight.max(tr.in_flight);
-                    if self.tracing {
-                        // Stamp the attempt's wire span on the request so
-                        // server-side spans parent under it; the span
-                        // itself is emitted at delivery.
-                        let span = self.alloc_span();
-                        let tr = self.clients[c].trace;
-                        req.set_trace(Some(TraceCtx { trace: TraceId(tr.trace_id), span }));
-                        self.clients[c].sent_spans.insert(req_id, (span, self.now, srv));
-                    }
-                    let size = req.wire_size();
-                    let t0 = self.clients[c].res.cpu.acquire(
-                        self.now,
-                        p.client_per_msg_ns + transfer_ns(req.payload_bytes(), p.client_copy_bw),
-                    );
-                    let wire = transfer_ns(size, p.nic_bw);
-                    let t1 = self.clients[c].res.nic_out.acquire(t0, wire);
-                    // Cut-through: the first byte lands one latency after
-                    // serialization starts; the last byte at t1 + latency.
-                    let first = (t1 - wire) + p.nic_latency_ns;
-                    let fully_arrived = t1 + p.nic_latency_ns;
-                    self.queue.push(
-                        first,
-                        Ev::ServerArrive { s: srv as usize, from: c as u32, req_id, req, fully_arrived },
-                    );
-                }
-                Effect::Compute { token, bytes } => {
-                    let t = self.clients[c]
-                        .res
-                        .cpu
-                        .acquire(self.now, transfer_ns(bytes, self.profile.xor_bw));
-                    if self.tracing {
-                        let tr = self.clients[c].trace;
-                        let span = self.alloc_span();
-                        self.emit(tr.trace_id, span, SpanId(tr.root), TrPhase::Xor, self.now, t, bytes);
-                    }
-                    self.queue.push(t, Ev::ComputeDone { c, token });
-                }
-                Effect::Done(result) => {
-                    result.expect("simulated op failed");
-                    let st = &mut self.clients[c];
-                    st.driver = None;
-                    debug_assert!(st.pending.is_empty(), "op finished with requests in flight");
-                    let tr = st.trace;
-                    self.ops += 1;
-                    self.requests += tr.requests;
-                    self.max_in_flight = self.max_in_flight.max(tr.max_in_flight);
-                    self.ttfb_ns += tr.first_reply.map_or(0, |t| t - tr.started);
-                    self.stall_ns += tr.stall_ns;
-                    if self.tracing && tr.trace_id != 0 {
-                        self.emit(
-                            tr.trace_id,
-                            SpanId(tr.root),
-                            SpanId::NONE,
-                            TrPhase::Op,
-                            tr.started,
-                            self.now,
-                            tr.requests,
-                        );
-                    }
-                    self.queue.push(self.now, Ev::ClientNext(c));
-                }
-            }
-        }
+    /// Run one engine step for client `c`'s op on the virtual clock, and
+    /// account the op once it finishes.
+    fn drive(&mut self, c: usize, step: impl FnOnce(&mut OpEngine, &mut dyn OpDriver, &mut SimIo) -> Finished) {
+        let st = &mut self.clients[c];
+        let Some(driver) = st.driver.as_mut() else { panic!("client {c} has no op in progress") };
+        let eng = &mut st.eng;
+        let mut io = SimIo {
+            c,
+            now: self.now,
+            profile: &self.profile,
+            res: &mut st.res,
+            queue: &mut self.queue,
+            next_req: &mut self.next_req,
+        };
+        let Some(result) = step(eng, driver.as_mut(), &mut io) else { return };
+        result.expect("simulated op failed");
+        let (stats, spans) = eng.finish(&mut io);
+        self.op_stats.merge(&stats);
+        self.traces.extend(spans);
+        st.driver = None;
+        self.queue.push(self.now, Ev::ClientNext(c));
     }
 
     fn server_arrive(&mut self, s: usize, from: u32, req_id: u64, req: Request, fully_arrived: u64) {
@@ -774,15 +592,7 @@ impl SimCluster {
         if self.tracing {
             if let Some(cx) = ctx {
                 // Ingest + queueing: first byte to service gate.
-                self.emit(
-                    cx.trace.0,
-                    derived_span(cx.span, TrPhase::SrvQueue),
-                    cx.span,
-                    TrPhase::SrvQueue,
-                    self.now,
-                    gate,
-                    s as u64,
-                );
+                self.traces.push(TraceSpan::server(cx, TrPhase::SrvQueue, self.now, gate, s as u32));
             }
         }
         for SrvEffect::Reply { to, req_id, resp, cost, trace, lock_wait } in effects {
@@ -805,15 +615,7 @@ impl SimCluster {
                 if let Some(cx) = trace {
                     // Disk service of this reply (for a woken waiter, the
                     // slice of the unlocking dispatch that served it).
-                    self.emit(
-                        cx.trace.0,
-                        derived_span(cx.span, TrPhase::Service),
-                        cx.span,
-                        TrPhase::Service,
-                        gate,
-                        t3,
-                        s as u64,
-                    );
+                    self.traces.push(TraceSpan::server(cx, TrPhase::Service, gate, t3, s as u32));
                 }
             }
             // Egress: CPU copy for the reply payload on the egress lane,
@@ -833,9 +635,55 @@ impl SimCluster {
     }
 }
 
+/// One client's executor for one engine step: the virtual clock (fixed
+/// within an event, so `plan`, `submit` and `deliver` take zero virtual
+/// time), the client's modelled CPU and NIC, and the sim-owned request
+/// counter.
+struct SimIo<'a> {
+    c: usize,
+    now: u64,
+    profile: &'a HwProfile,
+    res: &'a mut NodeRes,
+    queue: &'a mut EventQueue<Ev>,
+    next_req: &'a mut u64,
+}
+
+impl Executor for SimIo<'_> {
+    fn now_ns(&mut self) -> u64 {
+        self.now
+    }
+
+    fn send(&mut self, srv: ServerId, req: Request) -> Result<u64, CsarError> {
+        let p = self.profile;
+        let req_id = *self.next_req;
+        *self.next_req += 1;
+        let size = req.wire_size();
+        let t0 = self.res.cpu.acquire(
+            self.now,
+            p.client_per_msg_ns + transfer_ns(req.payload_bytes(), p.client_copy_bw),
+        );
+        let wire = transfer_ns(size, p.nic_bw);
+        let t1 = self.res.nic_out.acquire(t0, wire);
+        // Cut-through: the first byte lands one latency after
+        // serialization starts; the last byte at t1 + latency.
+        let first = (t1 - wire) + p.nic_latency_ns;
+        let fully_arrived = t1 + p.nic_latency_ns;
+        let (s, from) = (srv as usize, self.c as u32);
+        self.queue.push(first, Ev::ServerArrive { s, from, req_id, req, fully_arrived });
+        Ok(req_id)
+    }
+
+    fn compute(&mut self, token: Token, bytes: u64) {
+        let t = self.res.cpu.acquire(self.now, transfer_ns(bytes, self.profile.xor_bw));
+        self.queue.push(t, Ev::ComputeDone { c: self.c, token });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use csar_obs::trace::SpanId;
+    use std::collections::HashMap;
 
     fn sim(servers: u32, clients: usize) -> SimCluster {
         SimCluster::new(HwProfile::test_profile(), servers, clients)

@@ -12,9 +12,19 @@ cargo test -q
 # check's suite exercises the pipelined parity-lock scenarios.
 cargo run -q -p csar-analysis -- lint
 cargo run -q -p csar-analysis -- check
-# Perf trajectory: regenerate the barrier-vs-pipelined ablation so
-# BENCH_pipeline.json tracks the completion-driven engine from PR 2 on.
-cargo run -q --release -p csar-bench --bin figures -- --bench pipeline
+# Barrier-vs-pipelined ablation: every field is virtual time and
+# deterministic, so a fresh run must reproduce the committed
+# BENCH_pipeline.json byte for byte. Regenerate it in place with
+# `figures --bench pipeline` only when a change is meant to move it.
+pipeline=$(mktemp /tmp/BENCH_pipeline.XXXXXX.json)
+trap 'rm -f "$pipeline"' EXIT
+cargo run -q --release -p csar-bench --bin figures -- --bench pipeline --bench-json "$pipeline"
+cmp "$pipeline" BENCH_pipeline.json || {
+    echo "tier1: FAIL — BENCH_pipeline.json differs from a fresh run" >&2
+    diff "$pipeline" BENCH_pipeline.json >&2 || true
+    exit 1
+}
+echo "tier1: BENCH_pipeline.json reproduces byte for byte (gate ok)"
 # Datapath smoke (PR 3): a scaled-down run of the zero-allocation
 # ablation. The allocation audit is exact and hermetic, so the gate is
 # hard: steady-state whole-group parity computation must stay at zero
@@ -24,7 +34,7 @@ cargo run -q --release -p csar-bench --bin figures -- --bench pipeline
 # committed full-scale BENCH_datapath.json (regenerate that with
 # `figures --bench datapath`).
 smoke=$(mktemp /tmp/BENCH_datapath_smoke.XXXXXX.json)
-trap 'rm -f "$smoke"' EXIT
+trap 'rm -f "$pipeline" "$smoke"' EXIT
 cargo run -q --release -p csar-bench --bin figures -- --bench datapath --bench-json "$smoke" --scale 0.25
 grep -q '"steady_allocs": 0' "$smoke" || {
     echo "tier1: FAIL — steady-state datapath allocations regressed above zero" >&2
@@ -40,7 +50,7 @@ echo "tier1: datapath steady-state allocations: 0 (gate ok)"
 # not gated (regenerate the committed full-scale BENCH_obs.json with
 # `figures --bench obs`).
 obs_smoke=$(mktemp /tmp/BENCH_obs_smoke.XXXXXX.json)
-trap 'rm -f "$smoke" "$obs_smoke"' EXIT
+trap 'rm -f "$pipeline" "$smoke" "$obs_smoke"' EXIT
 cargo run -q --release -p csar-bench --bin figures -- --bench obs --bench-json "$obs_smoke" --scale 0.25
 zeroed=$(grep -c '"steady_allocs": 0' "$obs_smoke" || true)
 if [ "$zeroed" -ne 2 ]; then
@@ -60,7 +70,7 @@ echo "tier1: obs steady-state allocations: 0 (gate ok)"
 # committed full-scale BENCH_trace.json with
 # `figures --bench trace`).
 trace_smoke=$(mktemp /tmp/BENCH_trace_smoke.XXXXXX.json)
-trap 'rm -f "$smoke" "$obs_smoke" "$trace_smoke"' EXIT
+trap 'rm -f "$pipeline" "$smoke" "$obs_smoke" "$trace_smoke"' EXIT
 cargo run -q --release -p csar-bench --bin figures -- --bench trace --bench-json "$trace_smoke" --scale 0.25
 zeroed=$(grep -c '"steady_allocs": 0' "$trace_smoke" || true)
 if [ "$zeroed" -ne 2 ]; then
@@ -79,7 +89,7 @@ echo "tier1: trace steady-state allocations: 0, Chrome export round-trips (gate 
 # JSON and re-parses it; it exits nonzero on any nesting or round-trip
 # failure.
 chrome_smoke=$(mktemp /tmp/chrome_trace_smoke.XXXXXX.json)
-trap 'rm -f "$smoke" "$obs_smoke" "$trace_smoke" "$chrome_smoke"' EXIT
+trap 'rm -f "$pipeline" "$smoke" "$obs_smoke" "$trace_smoke" "$chrome_smoke"' EXIT
 cargo run -q --release -p csar-bench --bin trace -- "$chrome_smoke" --scale 0.1 > /dev/null
 grep -q '"traceEvents"' "$chrome_smoke" || {
     echo "tier1: FAIL — trace exporter wrote no traceEvents" >&2
@@ -93,7 +103,7 @@ echo "tier1: trace exporter: spans nest, Chrome JSON round-trips (gate ok)"
 # abandoned) holds. --json-out exercises the snapshot file path that
 # scripts consume.
 stats_out=$(mktemp /tmp/stats_snapshot.XXXXXX.json)
-trap 'rm -f "$smoke" "$obs_smoke" "$trace_smoke" "$chrome_smoke" "$stats_out"' EXIT
+trap 'rm -f "$pipeline" "$smoke" "$obs_smoke" "$trace_smoke" "$chrome_smoke" "$stats_out"' EXIT
 cargo run -q --release -p csar-bench --bin stats -- --json-out "$stats_out" > /dev/null
 grep -q '"counters"' "$stats_out" || {
     echo "tier1: FAIL — stats --json-out wrote no counters" >&2

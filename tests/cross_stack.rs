@@ -185,3 +185,64 @@ fn compaction_then_degraded_read_still_correct() {
     assert_eq!(file.read_at(0, want.len() as u64).unwrap(), want, "degraded after compaction");
     cluster.shutdown();
 }
+
+/// One op's trace tree: its sorted `(phase, parent phase)` edges (the
+/// root's parent is `"-"`) and the root's request count.
+fn tree_shape(spans: &[csar_obs::trace::TraceSpan]) -> (Vec<(&'static str, &'static str)>, u64) {
+    fn walk(n: &csar_obs::trace::TraceNode, parent: &'static str, out: &mut Vec<(&'static str, &'static str)>) {
+        out.push((n.span.phase.name(), parent));
+        n.children.iter().for_each(|c| walk(c, n.span.phase.name(), out));
+    }
+    let trees = csar_obs::trace::build_trees(spans);
+    assert_eq!(trees.len(), 1, "one op, one tree: {trees:#?}");
+    let mut edges = Vec::new();
+    walk(&trees[0], "-", &mut edges);
+    edges.sort_unstable();
+    (edges, trees[0].span.aux)
+}
+
+#[test]
+fn sim_and_live_emit_the_same_trace_trees() {
+    // Both stacks run the same completion engine, so one script must
+    // give each op the same span tree on each: same phases, same
+    // parentage, same request count on the root.
+    let (n, unit) = (5u32, 16 * 1024u64);
+    let group = (n as u64 - 1) * unit;
+    // File 0 is RAID5, file 1 Hybrid: a whole-group write, a one-block
+    // RMW overwrite, a Hybrid partial write, a plain read.
+    let script = [
+        Op::Write { file: 0, off: 0, len: group },
+        Op::Write { file: 0, off: unit, len: unit },
+        Op::Write { file: 1, off: unit, len: unit / 2 },
+        Op::Read { file: 0, off: 0, len: group },
+    ];
+    let schemes = [Scheme::Raid5, Scheme::Hybrid];
+
+    let mut sim = SimCluster::new(HwProfile::test_profile(), n, 1);
+    assert_eq!(schemes.map(|s| sim.create_file(s.label(), s, unit)), [0, 1]);
+    sim.set_tracing(true);
+    let mut sim_shapes = Vec::new();
+    for op in script {
+        sim.run_phase(vec![(0, vec![op])]);
+        sim_shapes.push(tree_shape(&sim.take_traces()));
+    }
+
+    let cluster = Cluster::spawn(n, Default::default());
+    let client = cluster.client();
+    let files = schemes.map(|s| client.create(s.label(), s, unit).unwrap());
+    cluster.set_tracing(true);
+    for op in script {
+        match op {
+            Op::Write { file, off, len } => files[file].write_at(off, &vec![7u8; len as usize]).map(drop),
+            Op::Read { file, off, len } => files[file].read_at(off, len).map(drop),
+        }
+        .unwrap();
+    }
+    let live_shapes: Vec<_> = cluster.flight_spans().iter().map(|s| tree_shape(s)).collect();
+    cluster.shutdown();
+
+    assert_eq!(live_shapes.len(), script.len());
+    for (i, (live, sim)) in live_shapes.iter().zip(&sim_shapes).enumerate() {
+        assert_eq!(live, sim, "op {i} {:?}: live vs sim trace shape", script[i]);
+    }
+}
