@@ -435,8 +435,7 @@ pub fn explore(scenario: &Scenario, max_schedules: u64) -> ScenarioReport {
         }
     }
 
-    report.ok = !report.truncated
-        && (report.violations.is_empty() == !scenario.expect_violations);
+    report.ok = !report.truncated && report.violations.is_empty() != scenario.expect_violations;
     report
 }
 

@@ -4,7 +4,7 @@
 
 use csar_bench::crit as criterion;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use csar_store::{CacheModel, StreamKind};
+use csar_store::{CacheModel, SplitMix64, StreamKind};
 use std::hint::black_box;
 
 fn bench_write_classification(c: &mut Criterion) {
@@ -43,6 +43,27 @@ fn bench_read_hits_and_misses(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_server_shaped_touches(c: &mut Criterion) {
+    // The shape `IoServer::classify_read` produces: one-block reads, in
+    // random order, of a large resident set — 128 Ki blocks (512 MiB).
+    const BLOCKS: u64 = 128 << 10;
+    const TOUCHES: u64 = 1024;
+    let mut group = c.benchmark_group("cache_block_touch");
+    group.throughput(Throughput::Elements(TOUCHES));
+    group.bench_function("random_hits_128k_resident", |b| {
+        let mut cache = CacheModel::new(4096, BLOCKS * 4096);
+        cache.write_range((1, StreamKind::Data), 0, BLOCKS * 4096);
+        let mut rng = SplitMix64::new(7);
+        let blocks: Vec<u64> = (0..TOUCHES).map(|_| rng.gen_range(0..BLOCKS)).collect();
+        b.iter(|| {
+            for &blk in &blocks {
+                black_box(cache.read_range((1, StreamKind::Data), blk * 4096, 4096));
+            }
+        });
+    });
+    group.finish();
+}
+
 fn bench_eviction(c: &mut Criterion) {
     c.bench_function("evict_file_with_100k_blocks", |b| {
         b.iter_batched(
@@ -60,5 +81,11 @@ fn bench_eviction(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_write_classification, bench_read_hits_and_misses, bench_eviction);
+criterion_group!(
+    benches,
+    bench_write_classification,
+    bench_read_hits_and_misses,
+    bench_server_shaped_touches,
+    bench_eviction
+);
 criterion_main!(benches);

@@ -37,7 +37,7 @@ fn bench_edge_blocks(c: &mut Criterion) {
         b.iter(|| {
             let mut acc = 0usize;
             for i in 0..1000u64 {
-                acc += WriteBuffer::partial_edge_blocks(4096, black_box(i * 777), 100_000).len();
+                acc += WriteBuffer::partial_edge_blocks(4096, black_box(i * 777), 100_000).count();
             }
             acc
         });

@@ -19,7 +19,7 @@ use std::cell::RefCell;
 
 // Collected machine-readable results for --json.
 thread_local! {
-    static JSON_OUT: RefCell<Vec<(String, Json)>> = RefCell::new(Vec::new());
+    static JSON_OUT: RefCell<Vec<(String, Json)>> = const { RefCell::new(Vec::new()) };
 }
 
 fn record(key: &str, value: Json) {

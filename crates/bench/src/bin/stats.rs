@@ -14,9 +14,9 @@
 //!
 //! Exits nonzero if the snapshot fails to round-trip through its JSON
 //! encoding or the engine-side balance invariant
-//! (`eng_issued == eng_delivered + eng_retried_abandoned + eng_timeouts
-//! + eng_abandoned`) does not hold — which makes the binary usable as a
-//! live-cluster metrics smoke test.
+//! (`eng_issued == eng_delivered + eng_retried_abandoned +
+//! eng_timeouts + eng_abandoned`) does not hold — which makes the binary
+//! usable as a live-cluster metrics smoke test.
 
 use csar_cluster::Cluster;
 use csar_core::proto::Scheme;

@@ -41,7 +41,7 @@ mod tests {
 
     #[test]
     fn closures_may_borrow_environment() {
-        let base = vec![10u64, 20, 30];
+        let base = [10u64, 20, 30];
         let items = [0usize, 1, 2];
         let out = pmap(&items, |&i| base[i] + 1);
         assert_eq!(out, vec![11, 21, 31]);

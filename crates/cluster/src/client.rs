@@ -9,7 +9,7 @@
 //! flight recorder.
 
 use crate::deploy::Inner;
-use crate::transport::{MgrMsg, ReplyTrace, ServerMsg};
+use crate::transport::{MgrMsg, ReplySender, ServerMsg};
 use csar_core::client::engine::{EngineConfig, Executor, Note, OpEngine};
 use csar_core::client::{Completion, Effect, OpDriver, OpOutput, ReadDriver, Token, WriteDriver};
 use csar_core::manager::{FileMeta, MgrRequest, MgrResponse};
@@ -20,7 +20,7 @@ use csar_obs::{Ctr, Gauge, Hist, MetricsRegistry};
 use csar_store::{Payload, StorageReport};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -64,7 +64,7 @@ pub(crate) struct Handle {
 struct Wire<'h> {
     h: &'h Handle,
     /// Where the servers send this op's replies.
-    tx: Sender<(u64, Response, ReplyTrace)>,
+    tx: ReplySender,
     /// Computes the driver already did, to be reported back.
     computed: VecDeque<Token>,
 }

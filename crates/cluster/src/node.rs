@@ -1,13 +1,13 @@
 //! Server and manager threads.
 
-use crate::transport::{MgrMsg, ReplyTrace, ServerMsg};
+use crate::transport::{MgrMsg, ReplySender, ReplyTrace, ServerMsg};
 use csar_core::manager::Manager;
-use csar_core::proto::{Response, ServerId};
+use csar_core::proto::ServerId;
 use csar_core::server::{Effect, IoServer};
 use csar_obs::trace::{Phase, TraceSpan};
 use csar_obs::Gauge;
 use std::collections::{HashMap, VecDeque};
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
@@ -45,7 +45,7 @@ pub(crate) fn run_server(
     epoch: Instant,
 ) {
     debug_assert_eq!(shared.lock().unwrap_or_else(PoisonError::into_inner).id, id);
-    let mut pending: HashMap<(u32, u64), Sender<(u64, Response, ReplyTrace)>> = HashMap::new();
+    let mut pending: HashMap<(u32, u64), ReplySender> = HashMap::new();
     // Queue-wait spans of requests parked on a parity lock: computed at
     // their dispatch, attached when the unlocking write finally produces
     // their reply.

@@ -10,6 +10,9 @@ use std::sync::mpsc::Sender;
 /// the disabled path moves no extra heap data per reply.
 pub(crate) type ReplyTrace = Option<Box<[TraceSpan]>>;
 
+/// Where a server sends a reply: `(req_id, response, its spans)`.
+pub(crate) type ReplySender = Sender<(u64, Response, ReplyTrace)>;
+
 /// A message to an I/O server thread.
 pub(crate) enum ServerMsg {
     /// A client request; the reply goes back through `reply_to` tagged
@@ -19,7 +22,7 @@ pub(crate) enum ServerMsg {
         from: ClientId,
         req_id: u64,
         req: Request,
-        reply_to: Sender<(u64, Response, ReplyTrace)>,
+        reply_to: ReplySender,
     },
     /// Stop the thread.
     Shutdown,

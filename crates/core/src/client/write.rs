@@ -366,7 +366,9 @@ impl WriteDriver {
         }
         // Old-data reads for all partial spans, one request per server.
         let ly = *self.layout();
-        let mut per_server: BTreeMap<ServerId, (Vec<Span>, Vec<(usize, usize)>)> = BTreeMap::new();
+        // Per server: the spans to read, and each one's (partial, span) index.
+        type SpanReads = (Vec<Span>, Vec<(usize, usize)>);
+        let mut per_server: BTreeMap<ServerId, SpanReads> = BTreeMap::new();
         for (pi, p) in self.partials.iter().enumerate() {
             for (si, s) in p.spans.iter().enumerate() {
                 let srv = ly.home_server(ly.block_of(s.logical_off));

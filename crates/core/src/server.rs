@@ -842,33 +842,23 @@ impl IoServer {
         if len == 0 {
             return cost;
         }
-        let fs = self.cfg.fs_block;
-        if self.store.file(fh, stream).is_none() {
+        let Some(file) = self.store.file(fh, stream) else {
             return cost;
-        }
-        let first = off / fs;
-        let last = (off + len - 1) / fs;
+        };
+        let fs = self.cfg.fs_block;
         // Readahead never runs past the stored stream: prefetching past
         // EOF would fabricate disk traffic the file system cannot issue.
-        let eof = self.store.file(fh, stream).map(|f| f.size()).unwrap_or(0);
-        for blk in first..=last {
-            if self.cache.contains_block((fh, stream), blk) {
-                cost.cache_read_bytes += fs;
-                let rac = self.cache.read_range_bounded((fh, stream), blk * fs, 1, eof);
-                cost.disk_read_bytes += rac.prefetched_blocks * fs;
-            } else if self
-                .store
-                .file(fh, stream)
-                .map(|f| f.range_touches(blk * fs, fs))
-                .unwrap_or(false)
-            {
-                cost.disk_read_bytes += fs;
-                let rac = self.cache.read_range_bounded((fh, stream), blk * fs, 1, eof);
-                cost.disk_read_bytes += rac.prefetched_blocks * fs;
+        let eof = file.size();
+        for blk in off / fs..=(off + len - 1) / fs {
+            // A resident block is a hit; an absent one is read from disk
+            // unless it is a hole — zeros, free, nothing becomes resident.
+            let on_disk = || file.range_touches(blk * fs, fs);
+            if let Some(rac) = self.cache.read_block_bounded((fh, stream), blk, eof, on_disk) {
+                cost.cache_read_bytes += rac.hit_blocks * fs;
+                cost.disk_read_bytes += (rac.miss_blocks + rac.prefetched_blocks) * fs;
             }
-            // else: a hole — zeros, free, nothing becomes resident.
         }
-        cost.disk_read_ops = if cost.disk_read_bytes > 0 { 1 } else { 0 };
+        cost.disk_read_ops = u64::from(cost.disk_read_bytes > 0);
         cost
     }
 
@@ -881,9 +871,22 @@ impl IoServer {
         }
         if !self.cfg.pad_partial_blocks {
             let fs = self.cfg.fs_block;
-            let candidates: Vec<u64> = if self.cfg.write_buffering {
+            let file = self.store.file(fh, stream);
+            let cache = &mut self.cache;
+            let mut pre_read = |blk: u64| {
+                // A pre-read is needed only if the block holds old data
+                // on disk (covered, i.e. not a hole) and is not resident.
+                let covered = file.is_some_and(|f| f.range_touches(blk * fs, fs));
+                if covered && !cache.contains_block((fh, stream), blk) {
+                    cost.disk_read_bytes += fs;
+                    cost.disk_read_ops += 1;
+                    // The pre-read loads it.
+                    cache.read_range((fh, stream), blk * fs, 1);
+                }
+            };
+            if self.cfg.write_buffering {
                 // Only the unaligned head/tail blocks can be partial.
-                WriteBuffer::partial_edge_blocks(fs, off, len)
+                WriteBuffer::partial_edge_blocks(fs, off, len).for_each(pre_read);
             } else {
                 // §5.2 pathology: non-blocking receives deliver whatever
                 // the socket has (~RECV_CHUNK at a time), so every
@@ -891,26 +894,10 @@ impl IoServer {
                 const RECV_CHUNK: u64 = 64 * 1024;
                 let first = off / fs;
                 let last = (off + len - 1) / fs;
-                let stride = (RECV_CHUNK / fs).max(1) as usize;
-                let mut c: Vec<u64> = (first..=last).step_by(stride).collect();
-                if c.last() != Some(&last) {
-                    c.push(last);
-                }
-                c
-            };
-            for blk in candidates {
-                // A pre-read is needed only if the block holds old data
-                // on disk (covered, i.e. not a hole) and is not resident.
-                let covered = self
-                    .store
-                    .file(fh, stream)
-                    .map(|f| f.range_touches(blk * fs, fs))
-                    .unwrap_or(false);
-                if covered && !self.cache.contains_block((fh, stream), blk) {
-                    cost.disk_read_bytes += fs;
-                    cost.disk_read_ops += 1;
-                    // The pre-read loads it.
-                    self.cache.read_range((fh, stream), blk * fs, 1);
+                let stride = (RECV_CHUNK / fs).max(1);
+                (first..=last).step_by(stride as usize).for_each(&mut pre_read);
+                if !(last - first).is_multiple_of(stride) {
+                    pre_read(last);
                 }
             }
         }

@@ -861,7 +861,7 @@ mod tests {
                         dur_ns: u64::MAX - (i % 7), // hostile: forces the clamp to matter
                         aux: w,
                     });
-                    if i % 64 == 0 {
+                    if i.is_multiple_of(64) {
                         reg.reset();
                     }
                     i += 1;

@@ -7,12 +7,80 @@
 //! and RAID1's doubled write volume overflows the caches for BTIO Class C
 //! (Fig. 7a). This model tracks *which* 4 KB blocks are resident, so the
 //! simulator can classify each access; timing is charged by the simulator.
+//!
+//! Every server request passes through it, block by block, so a touch is
+//! O(1): one probe of a hash index into a slab of nodes, plus relinking
+//! the node at the most-recent end of an intrusive doubly linked list.
 
 use crate::local::StreamKind;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifies one local file in the cache: `(file handle, stream)`.
 pub type FileKey = (u64, StreamKind);
+
+/// One cached block: `(file, block index)`.
+type BlockKey = (FileKey, u64);
+
+/// A multiplicative word hasher in the style of rustc's FxHash. The keys
+/// are small integers from this program's own clients (the transport is
+/// in-process), so SipHash's flood resistance buys nothing here and
+/// costs most of a probe. A server facing untrusted clients over a
+/// network would need it back: colliding block indices are easy to pick.
+#[derive(Debug, Default, Clone, Copy)]
+struct FxHasher(u64);
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = self.0.wrapping_add(n).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+
+    // `StreamKind`'s derived `Hash` writes its discriminant as an isize.
+    fn write_isize(&mut self, n: isize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The product's best-mixed bits are its high ones; the table
+        // indexes buckets by the low ones.
+        self.0.rotate_left(26)
+    }
+}
+
+type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
+/// End of the recency list.
+const NIL: usize = usize::MAX;
+
+/// A slab slot: one resident block and its recency-list neighbours.
+#[derive(Debug, Clone)]
+struct Node {
+    key: BlockKey,
+    /// Next older block, or [`NIL`].
+    prev: usize,
+    /// Next newer block, or [`NIL`].
+    next: usize,
+}
+
+/// What one probe of a block found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Probe {
+    /// Resident.
+    Hit,
+    /// Absent, and now loaded.
+    Loaded,
+    /// Absent, and left absent.
+    Skipped,
+}
 
 /// Outcome of classifying a range access against the cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -39,15 +107,21 @@ impl RangeAccess {
 pub struct CacheModel {
     block_size: u64,
     capacity_blocks: u64,
-    /// (file, block index) → last-use tick.
-    map: HashMap<(FileKey, u64), u64>,
-    /// last-use tick → (file, block index); the eviction order.
-    order: BTreeMap<u64, (FileKey, u64)>,
-    tick: u64,
+    /// (file, block index) → its slot in `nodes`.
+    index: FxHashMap<BlockKey, usize>,
+    /// Slab of resident blocks, linked from least to most recently used.
+    nodes: Vec<Node>,
+    /// Slots of `nodes` whose block was evicted, reused before the slab
+    /// grows.
+    free: Vec<usize>,
+    /// Least recently used slot (the next eviction), or [`NIL`].
+    lru: usize,
+    /// Most recently used slot, or [`NIL`].
+    mru: usize,
     /// Blocks to prefetch past a sequential read (0 = readahead off).
     readahead_blocks: u64,
     /// Per-stream sequential-read detector: next expected block index.
-    streams: HashMap<FileKey, u64>,
+    streams: FxHashMap<FileKey, u64>,
 }
 
 impl CacheModel {
@@ -60,11 +134,13 @@ impl CacheModel {
         Self {
             block_size,
             capacity_blocks: (capacity_bytes / block_size).max(1),
-            map: HashMap::new(),
-            order: BTreeMap::new(),
-            tick: 0,
+            index: FxHashMap::default(),
+            nodes: Vec::new(),
+            free: Vec::new(),
+            lru: NIL,
+            mru: NIL,
             readahead_blocks: 0,
-            streams: HashMap::new(),
+            streams: FxHashMap::default(),
         }
     }
 
@@ -88,7 +164,7 @@ impl CacheModel {
 
     /// Resident blocks.
     pub fn resident_blocks(&self) -> u64 {
-        self.map.len() as u64
+        self.index.len() as u64
     }
 
     /// Resident bytes.
@@ -105,26 +181,95 @@ impl CacheModel {
         first..last + 1
     }
 
-    fn touch_block(&mut self, key: FileKey, blk: u64) -> bool {
-        self.tick += 1;
-        let tick = self.tick;
-        let hit = if let Some(old) = self.map.insert((key, blk), tick) {
-            self.order.remove(&old);
-            true
-        } else {
-            false
-        };
-        self.order.insert(tick, (key, blk));
-        self.evict_over_capacity();
-        hit
+    fn unlink(&mut self, i: usize) {
+        let Node { prev, next, .. } = self.nodes[i];
+        match prev {
+            NIL => self.lru = next,
+            p => self.nodes[p].next = next,
+        }
+        match next {
+            NIL => self.mru = prev,
+            n => self.nodes[n].prev = prev,
+        }
     }
 
-    fn evict_over_capacity(&mut self) {
-        while self.map.len() as u64 > self.capacity_blocks {
-            let (&oldest, &(key, blk)) = self.order.iter().next().expect("order/map desync");
-            self.order.remove(&oldest);
-            self.map.remove(&(key, blk));
+    fn push_mru(&mut self, i: usize) {
+        self.nodes[i].prev = self.mru;
+        self.nodes[i].next = NIL;
+        match self.mru {
+            NIL => self.lru = i,
+            m => self.nodes[m].next = i,
         }
+        self.mru = i;
+    }
+
+    fn remove(&mut self, i: usize) {
+        self.unlink(i);
+        self.index.remove(&self.nodes[i].key);
+        self.free.push(i);
+    }
+
+    /// Look `key` up once. A resident block becomes the most recently
+    /// used if `promote`. An absent one is loaded as the most recently
+    /// used — evicting the least recently used past capacity — if
+    /// `load()` says so, and is otherwise left absent.
+    fn probe(&mut self, key: BlockKey, promote: bool, load: impl FnOnce() -> bool) -> Probe {
+        match self.index.entry(key) {
+            Entry::Occupied(e) => {
+                let i = *e.get();
+                if promote && i != self.mru {
+                    self.unlink(i);
+                    self.push_mru(i);
+                }
+                Probe::Hit
+            }
+            Entry::Vacant(e) => {
+                if !load() {
+                    return Probe::Skipped;
+                }
+                let node = Node { key, prev: NIL, next: NIL };
+                let i = match self.free.pop() {
+                    Some(i) => {
+                        self.nodes[i] = node;
+                        i
+                    }
+                    None => {
+                        self.nodes.push(node);
+                        self.nodes.len() - 1
+                    }
+                };
+                e.insert(i);
+                self.push_mru(i);
+                // Capacity is at least one block, so this never evicts
+                // the block just loaded.
+                if self.index.len() as u64 > self.capacity_blocks {
+                    self.remove(self.lru);
+                }
+                Probe::Loaded
+            }
+        }
+    }
+
+    /// Sequential readahead after a read of the blocks `range`: if the
+    /// read continued its stream, load up to `readahead_blocks` absent
+    /// blocks past it, never at or past `eof` bytes. Returns how many
+    /// were loaded.
+    fn read_ahead(&mut self, key: FileKey, range: std::ops::Range<u64>, eof: u64) -> u64 {
+        if self.readahead_blocks == 0 {
+            return 0;
+        }
+        let mut prefetched = 0;
+        if self.streams.get(&key) == Some(&range.start) {
+            let eof_block = eof.div_ceil(self.block_size);
+            let stop = range.end.saturating_add(self.readahead_blocks).min(eof_block);
+            for blk in range.end..stop {
+                if self.probe((key, blk), false, || true) == Probe::Loaded {
+                    prefetched += 1;
+                }
+            }
+        }
+        self.streams.insert(key, range.end);
+        prefetched
     }
 
     /// Classify a *read* of `[off, off+len)`: hits stay resident, misses
@@ -140,70 +285,82 @@ impl CacheModel {
     /// clamped — callers already bound it.
     pub fn read_range_bounded(&mut self, key: FileKey, off: u64, len: u64, eof: u64) -> RangeAccess {
         let mut acc = RangeAccess::default();
-        for blk in self.block_range(off, len) {
-            if self.touch_block(key, blk) {
-                acc.hit_blocks += 1;
-            } else {
-                acc.miss_blocks += 1;
+        let range = self.block_range(off, len);
+        for blk in range.clone() {
+            match self.probe((key, blk), true, || true) {
+                Probe::Hit => acc.hit_blocks += 1,
+                _ => acc.miss_blocks += 1,
             }
         }
-        if self.readahead_blocks > 0 && len > 0 {
-            let range = self.block_range(off, len);
-            let sequential = self.streams.get(&key) == Some(&range.start);
-            if sequential {
-                let eof_block = eof.div_ceil(self.block_size);
-                let stop = range.end.saturating_add(self.readahead_blocks).min(eof_block);
-                for blk in range.end..stop {
-                    if !self.map.contains_key(&(key, blk)) {
-                        self.touch_block(key, blk);
-                        acc.prefetched_blocks += 1;
-                    }
-                }
-            }
-            self.streams.insert(key, range.end);
+        if len > 0 {
+            acc.prefetched_blocks = self.read_ahead(key, range, eof);
         }
         acc
+    }
+
+    /// [`read_range_bounded`](Self::read_range_bounded) of the one block
+    /// `blk`, for a caller that knows where the holes are: an absent
+    /// block is loaded (a miss) only if `on_disk()` says it holds data.
+    /// An absent hole reads as zeros without touching the disk, so
+    /// nothing becomes resident, the readahead detector does not move,
+    /// and the result is `None`. One hash probe decides all three cases.
+    pub fn read_block_bounded(
+        &mut self,
+        key: FileKey,
+        blk: u64,
+        eof: u64,
+        on_disk: impl FnOnce() -> bool,
+    ) -> Option<RangeAccess> {
+        let mut acc = RangeAccess::default();
+        match self.probe((key, blk), true, on_disk) {
+            Probe::Hit => acc.hit_blocks = 1,
+            Probe::Loaded => acc.miss_blocks = 1,
+            Probe::Skipped => return None,
+        }
+        acc.prefetched_blocks = self.read_ahead(key, blk..blk + 1, eof);
+        Some(acc)
     }
 
     /// Record a *write* of `[off, off+len)`: written blocks become
     /// resident (dirty pages in the page cache).
     pub fn write_range(&mut self, key: FileKey, off: u64, len: u64) {
         for blk in self.block_range(off, len) {
-            self.touch_block(key, blk);
+            self.probe((key, blk), true, || true);
         }
     }
 
     /// Is the whole range resident? Does not touch LRU order.
     pub fn is_range_cached(&self, key: FileKey, off: u64, len: u64) -> bool {
-        self.block_range(off, len).all(|blk| self.map.contains_key(&(key, blk)))
+        self.block_range(off, len).all(|blk| self.contains_block(key, blk))
     }
 
     /// Is one block resident? Does not touch LRU order.
     pub fn contains_block(&self, key: FileKey, blk: u64) -> bool {
-        self.map.contains_key(&(key, blk))
+        self.index.contains_key(&(key, blk))
     }
 
     /// Drop every resident block of every stream of file `fh` — models
     /// "after its contents have been removed from the cache" in the
     /// paper's overwrite experiments.
     pub fn evict_file(&mut self, fh: u64) {
-        let doomed: Vec<((FileKey, u64), u64)> = self
-            .map
-            .iter()
-            .filter(|(((handle, _), _), _)| *handle == fh)
-            .map(|(k, v)| (*k, *v))
-            .collect();
-        for (k, tick) in doomed {
-            self.map.remove(&k);
-            self.order.remove(&tick);
+        let mut i = self.lru;
+        while i != NIL {
+            let next = self.nodes[i].next;
+            if self.nodes[i].key.0 .0 == fh {
+                self.remove(i);
+            }
+            i = next;
         }
         self.streams.retain(|(handle, _), _| *handle != fh);
     }
 
     /// Drop everything.
     pub fn evict_all(&mut self) {
-        self.map.clear();
-        self.order.clear();
+        self.index.clear();
+        self.nodes.clear();
+        self.free.clear();
+        self.lru = NIL;
+        self.mru = NIL;
         self.streams.clear();
     }
 }
@@ -211,8 +368,194 @@ impl CacheModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SplitMix64;
 
     const DATA: StreamKind = StreamKind::Data;
+
+    impl CacheModel {
+        /// Resident blocks, least recently used first.
+        fn recency(&self) -> Vec<BlockKey> {
+            let mut order = Vec::new();
+            let mut i = self.lru;
+            while i != NIL {
+                order.push(self.nodes[i].key);
+                i = self.nodes[i].next;
+            }
+            order
+        }
+    }
+
+    /// The O(n) LRU the slab model must agree with: resident blocks in a
+    /// `Vec`, least recently used first, searched linearly.
+    struct Reference {
+        block_size: u64,
+        capacity: usize,
+        order: Vec<BlockKey>,
+        readahead: u64,
+        streams: Vec<(FileKey, u64)>,
+        /// Sequential reads whose readahead `eof` cut short, and blocks
+        /// prefetched: the test asserts both paths ran.
+        clamped: u64,
+        prefetched: u64,
+    }
+
+    impl Reference {
+        fn new(block_size: u64, capacity_blocks: usize) -> Self {
+            Self {
+                block_size,
+                capacity: capacity_blocks,
+                order: Vec::new(),
+                readahead: 0,
+                streams: Vec::new(),
+                clamped: 0,
+                prefetched: 0,
+            }
+        }
+
+        fn contains(&self, key: BlockKey) -> bool {
+            self.order.contains(&key)
+        }
+
+        fn touch(&mut self, key: BlockKey) -> bool {
+            let hit = match self.order.iter().position(|k| *k == key) {
+                Some(p) => {
+                    self.order.remove(p);
+                    true
+                }
+                None => false,
+            };
+            self.order.push(key);
+            if self.order.len() > self.capacity {
+                self.order.remove(0);
+            }
+            hit
+        }
+
+        fn read(&mut self, key: FileKey, off: u64, len: u64, eof: u64) -> RangeAccess {
+            let mut acc = RangeAccess::default();
+            if len == 0 {
+                return acc;
+            }
+            let (start, end) = (off / self.block_size, (off + len - 1) / self.block_size + 1);
+            for blk in start..end {
+                if self.touch((key, blk)) {
+                    acc.hit_blocks += 1;
+                } else {
+                    acc.miss_blocks += 1;
+                }
+            }
+            if self.readahead > 0 {
+                let at = self.streams.iter().position(|(k, _)| *k == key);
+                if at.is_some_and(|p| self.streams[p].1 == start) {
+                    let stop = end.saturating_add(self.readahead).min(eof.div_ceil(self.block_size));
+                    self.clamped += u64::from(stop < end + self.readahead);
+                    for blk in end..stop {
+                        if !self.contains((key, blk)) {
+                            self.touch((key, blk));
+                            acc.prefetched_blocks += 1;
+                        }
+                    }
+                    self.prefetched += acc.prefetched_blocks;
+                }
+                match at {
+                    Some(p) => self.streams[p].1 = end,
+                    None => self.streams.push((key, end)),
+                }
+            }
+            acc
+        }
+
+        fn read_block(&mut self, key: FileKey, blk: u64, eof: u64, on_disk: bool) -> Option<RangeAccess> {
+            (on_disk || self.contains((key, blk))).then(|| self.read(key, blk * self.block_size, 1, eof))
+        }
+
+        fn write(&mut self, key: FileKey, off: u64, len: u64) {
+            if len > 0 {
+                for blk in off / self.block_size..(off + len - 1) / self.block_size + 1 {
+                    self.touch((key, blk));
+                }
+            }
+        }
+
+        fn evict_file(&mut self, fh: u64) {
+            self.order.retain(|((handle, _), _)| *handle != fh);
+            self.streams.retain(|((handle, _), _)| *handle != fh);
+        }
+
+        fn evict_all(&mut self) {
+            self.order.clear();
+            self.streams.clear();
+        }
+    }
+
+    #[test]
+    fn matches_the_reference_lru_on_random_call_sequences() {
+        const BS: u64 = 4096;
+        const STREAMS: [StreamKind; 3] = [StreamKind::Data, StreamKind::Parity, StreamKind::Mirror];
+        let (mut clamped, mut prefetched) = (0, 0);
+        for seed in 0..40u64 {
+            let mut rng = SplitMix64::new(seed);
+            let capacity = if seed % 8 == 7 { 32 } else { 1 + rng.gen_usize(0..8) };
+            let files = 2 + rng.gen_range(0..3);
+            let mut model = CacheModel::new(BS, capacity as u64 * BS + rng.gen_range(0..BS));
+            let mut reference = Reference::new(BS, capacity);
+            // Every block any call may reach: requests stay below block
+            // 16 and readahead adds at most 4 past them.
+            let universe: Vec<BlockKey> = (1..=files)
+                .flat_map(|fh| STREAMS.iter().flat_map(move |&st| (0..24).map(move |blk| ((fh, st), blk))))
+                .collect();
+            for step in 0..500 {
+                let key = (1 + rng.gen_range(0..files), STREAMS[rng.gen_usize(0..STREAMS.len())]);
+                let off = rng.gen_range(0..12) * BS + rng.gen_range(0..2) * rng.gen_range(0..BS);
+                let len = rng.gen_range(0..3) * BS + rng.gen_range(0..2) * rng.gen_range(0..BS);
+                let eof = match rng.gen_range(0..3) {
+                    0 => u64::MAX,
+                    _ => rng.gen_range(0..18 * BS),
+                };
+                let ctx = format!("seed {seed} step {step} key {key:?} off {off} len {len} eof {eof}");
+                match rng.gen_range(0..100) {
+                    0..=29 => assert_eq!(
+                        model.read_range_bounded(key, off, len, eof),
+                        reference.read(key, off, len, eof),
+                        "{ctx}"
+                    ),
+                    30..=49 => {
+                        let (blk, on_disk) = (off / BS, rng.gen_bool(0.5));
+                        assert_eq!(
+                            model.read_block_bounded(key, blk, eof, || on_disk),
+                            reference.read_block(key, blk, eof, on_disk),
+                            "{ctx}"
+                        );
+                    }
+                    50..=84 => {
+                        model.write_range(key, off, len);
+                        reference.write(key, off, len);
+                    }
+                    85..=89 => {
+                        model.evict_file(key.0);
+                        reference.evict_file(key.0);
+                    }
+                    90..=91 => {
+                        model.evict_all();
+                        reference.evict_all();
+                    }
+                    _ => {
+                        let blocks = rng.gen_range(0..5);
+                        model.set_readahead(blocks);
+                        reference.readahead = blocks;
+                    }
+                }
+                assert_eq!(model.resident_blocks(), reference.order.len() as u64, "{ctx}");
+                assert_eq!(model.recency(), reference.order, "{ctx}");
+                for &(k, blk) in &universe {
+                    assert_eq!(model.contains_block(k, blk), reference.contains((k, blk)), "{ctx}");
+                }
+            }
+            clamped += reference.clamped;
+            prefetched += reference.prefetched;
+        }
+        assert!(clamped > 0 && prefetched > 0, "readahead ran {prefetched} blocks, {clamped} clamped by EOF");
+    }
 
     #[test]
     fn cold_read_is_all_misses_then_hits() {

@@ -172,13 +172,6 @@ impl Json {
         self.field(key)?.as_u64().ok_or_else(|| JsonError(format!("field `{key}` is not a u64")))
     }
 
-    /// Serialise compactly (no whitespace).
-    pub fn to_string(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        out
-    }
-
     /// Serialise with two-space indentation.
     pub fn to_pretty(&self) -> String {
         let mut out = String::new();
@@ -266,9 +259,13 @@ impl Json {
     }
 }
 
+/// Serialises compactly (no whitespace), so `.to_string()` is the
+/// compact text and [`Json::to_pretty`] the indented one.
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_string())
+        let mut out = String::new();
+        self.write(&mut out, None, 0);
+        f.write_str(&out)
     }
 }
 
@@ -553,7 +550,7 @@ pub fn hex_encode(data: &[u8]) -> String {
 /// Decode a hex string produced by [`hex_encode`].
 pub fn hex_decode(s: &str) -> Result<Vec<u8>, JsonError> {
     let b = s.as_bytes();
-    if b.len() % 2 != 0 {
+    if !b.len().is_multiple_of(2) {
         return Err(JsonError("odd-length hex string".into()));
     }
     let nib = |c: u8| -> Result<u8, JsonError> {

@@ -6,11 +6,15 @@ use crate::payload::Payload;
 use crate::sparse::SparseFile;
 use std::collections::BTreeMap;
 
+/// One local file of a [`StoreImage`]: `(fh, stream, extents, logical
+/// size)`, each extent an `(offset, payload)` pair.
+pub type FileImage = (u64, StreamKind, Vec<(u64, Payload)>, u64);
+
 /// A serializable snapshot of one server's [`LocalStore`].
 #[derive(Debug, Clone)]
 pub struct StoreImage {
-    /// `(fh, stream, extents, logical size)` per local file.
-    pub files: Vec<(u64, StreamKind, Vec<(u64, Payload)>, u64)>,
+    /// One entry per local file.
+    pub files: Vec<FileImage>,
     /// Overflow-log append cursors.
     pub cursors: Vec<(u64, StreamKind, u64)>,
 }

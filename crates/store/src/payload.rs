@@ -439,7 +439,7 @@ mod tests {
     #[test]
     fn concat_of_single_part_stays_contiguous() {
         let a = Payload::from_vec(vec![7, 8, 9]);
-        let cat = Payload::concat(&[a.clone()]);
+        let cat = Payload::concat(std::slice::from_ref(&a));
         assert!(matches!(cat, Payload::Data(_)));
         assert_eq!(cat, a);
     }

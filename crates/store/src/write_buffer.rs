@@ -107,24 +107,24 @@ impl WriteBuffer {
     /// The file-system blocks of `[off, off+len)` that a *buffered* write
     /// still touches partially: at most the head and tail blocks.
     ///
-    /// Returns block indices (at `block_size` granularity). This is what
-    /// the simulator charges pre-reads for when write buffering is ON and
-    /// the file pre-exists uncached; with buffering OFF every block of the
-    /// range is at risk (see the simulator's disk model).
-    pub fn partial_edge_blocks(block_size: u64, off: u64, len: u64) -> Vec<u64> {
-        if len == 0 {
-            return Vec::new();
+    /// Yields block indices (at `block_size` granularity), head first,
+    /// without allocating: the server calls this on every write. This is
+    /// what the simulator charges pre-reads for when write buffering is ON
+    /// and the file pre-exists uncached; with buffering OFF every block of
+    /// the range is at risk (see the simulator's disk model).
+    pub fn partial_edge_blocks(block_size: u64, off: u64, len: u64) -> impl Iterator<Item = u64> {
+        let (mut head, mut tail) = (None, None);
+        if len > 0 {
+            let first = off / block_size;
+            let last = (off + len - 1) / block_size;
+            if !off.is_multiple_of(block_size) {
+                head = Some(first);
+            }
+            if !(off + len).is_multiple_of(block_size) && (head.is_none() || last != first) {
+                tail = Some(last);
+            }
         }
-        let mut out = Vec::with_capacity(2);
-        let first = off / block_size;
-        let last = (off + len - 1) / block_size;
-        if !off.is_multiple_of(block_size) {
-            out.push(first);
-        }
-        if !(off + len).is_multiple_of(block_size) && (out.is_empty() || last != first) {
-            out.push(last);
-        }
-        out
+        head.into_iter().chain(tail)
     }
 }
 
@@ -221,17 +221,18 @@ mod tests {
 
     #[test]
     fn partial_edge_blocks_cases() {
+        let edges = |off, len| WriteBuffer::partial_edge_blocks(4096, off, len).collect::<Vec<_>>();
         // Fully aligned: no partial blocks.
-        assert!(WriteBuffer::partial_edge_blocks(4096, 0, 8192).is_empty());
+        assert!(edges(0, 8192).is_empty());
         // Unaligned head only.
-        assert_eq!(WriteBuffer::partial_edge_blocks(4096, 100, 8092), vec![0]);
+        assert_eq!(edges(100, 8092), vec![0]);
         // Unaligned tail only.
-        assert_eq!(WriteBuffer::partial_edge_blocks(4096, 0, 5000), vec![1]);
+        assert_eq!(edges(0, 5000), vec![1]);
         // Both edges.
-        assert_eq!(WriteBuffer::partial_edge_blocks(4096, 100, 8000), vec![0, 1]);
+        assert_eq!(edges(100, 8000), vec![0, 1]);
         // Sub-block write entirely inside one block: one entry, not two.
-        assert_eq!(WriteBuffer::partial_edge_blocks(4096, 10, 20), vec![0]);
+        assert_eq!(edges(10, 20), vec![0]);
         // Zero length.
-        assert!(WriteBuffer::partial_edge_blocks(4096, 5, 0).is_empty());
+        assert!(edges(5, 0).is_empty());
     }
 }

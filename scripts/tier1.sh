@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 gate: build, tests, then the first-party static analysis and
+# Tier-1 gate: build, tests, clippy, then the first-party static analysis and
 # the parity-lock model checker (ROADMAP.md "Tier-1 verify" plus the
 # csar-analysis passes). Any failing step fails the gate.
 set -euo pipefail
@@ -7,6 +7,8 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
+# Lint gate: clippy on every crate and target, warnings are errors.
+cargo clippy -q --workspace --all-targets -- -D warnings
 # The analysis passes cover the PR 2 modules too: lint's
 # no-unwrap-request-path now includes crates/cluster/src/client.rs, and
 # check's suite exercises the pipelined parity-lock scenarios.
@@ -25,6 +27,21 @@ cmp "$pipeline" BENCH_pipeline.json || {
     exit 1
 }
 echo "tier1: BENCH_pipeline.json reproduces byte for byte (gate ok)"
+# Every figure and table of the paper's evaluation is virtual time and
+# deterministic, so a fresh `figures all --json` must reproduce the
+# committed results/figures_full.json byte for byte. Only the JSON is
+# compared: figures_full.txt ends with the output path. Regenerate both
+# with the command in results/README.md only when a change is meant to
+# move them.
+figures=$(mktemp /tmp/figures_full.XXXXXX.json)
+trap 'rm -f "$pipeline" "$figures"' EXIT
+cargo run -q --release -p csar-bench --bin figures -- all --json "$figures" > /dev/null
+cmp "$figures" results/figures_full.json || {
+    echo "tier1: FAIL — results/figures_full.json differs from a fresh run" >&2
+    diff "$figures" results/figures_full.json >&2 || true
+    exit 1
+}
+echo "tier1: results/figures_full.json reproduces byte for byte (gate ok)"
 # Datapath smoke (PR 3): a scaled-down run of the zero-allocation
 # ablation. The allocation audit is exact and hermetic, so the gate is
 # hard: steady-state whole-group parity computation must stay at zero
@@ -34,7 +51,7 @@ echo "tier1: BENCH_pipeline.json reproduces byte for byte (gate ok)"
 # committed full-scale BENCH_datapath.json (regenerate that with
 # `figures --bench datapath`).
 smoke=$(mktemp /tmp/BENCH_datapath_smoke.XXXXXX.json)
-trap 'rm -f "$pipeline" "$smoke"' EXIT
+trap 'rm -f "$pipeline" "$figures" "$smoke"' EXIT
 cargo run -q --release -p csar-bench --bin figures -- --bench datapath --bench-json "$smoke" --scale 0.25
 grep -q '"steady_allocs": 0' "$smoke" || {
     echo "tier1: FAIL — steady-state datapath allocations regressed above zero" >&2
@@ -50,7 +67,7 @@ echo "tier1: datapath steady-state allocations: 0 (gate ok)"
 # not gated (regenerate the committed full-scale BENCH_obs.json with
 # `figures --bench obs`).
 obs_smoke=$(mktemp /tmp/BENCH_obs_smoke.XXXXXX.json)
-trap 'rm -f "$pipeline" "$smoke" "$obs_smoke"' EXIT
+trap 'rm -f "$pipeline" "$figures" "$smoke" "$obs_smoke"' EXIT
 cargo run -q --release -p csar-bench --bin figures -- --bench obs --bench-json "$obs_smoke" --scale 0.25
 zeroed=$(grep -c '"steady_allocs": 0' "$obs_smoke" || true)
 if [ "$zeroed" -ne 2 ]; then
@@ -70,7 +87,7 @@ echo "tier1: obs steady-state allocations: 0 (gate ok)"
 # committed full-scale BENCH_trace.json with
 # `figures --bench trace`).
 trace_smoke=$(mktemp /tmp/BENCH_trace_smoke.XXXXXX.json)
-trap 'rm -f "$pipeline" "$smoke" "$obs_smoke" "$trace_smoke"' EXIT
+trap 'rm -f "$pipeline" "$figures" "$smoke" "$obs_smoke" "$trace_smoke"' EXIT
 cargo run -q --release -p csar-bench --bin figures -- --bench trace --bench-json "$trace_smoke" --scale 0.25
 zeroed=$(grep -c '"steady_allocs": 0' "$trace_smoke" || true)
 if [ "$zeroed" -ne 2 ]; then
@@ -89,7 +106,7 @@ echo "tier1: trace steady-state allocations: 0, Chrome export round-trips (gate 
 # JSON and re-parses it; it exits nonzero on any nesting or round-trip
 # failure.
 chrome_smoke=$(mktemp /tmp/chrome_trace_smoke.XXXXXX.json)
-trap 'rm -f "$pipeline" "$smoke" "$obs_smoke" "$trace_smoke" "$chrome_smoke"' EXIT
+trap 'rm -f "$pipeline" "$figures" "$smoke" "$obs_smoke" "$trace_smoke" "$chrome_smoke"' EXIT
 cargo run -q --release -p csar-bench --bin trace -- "$chrome_smoke" --scale 0.1 > /dev/null
 grep -q '"traceEvents"' "$chrome_smoke" || {
     echo "tier1: FAIL — trace exporter wrote no traceEvents" >&2
@@ -103,7 +120,7 @@ echo "tier1: trace exporter: spans nest, Chrome JSON round-trips (gate ok)"
 # abandoned) holds. --json-out exercises the snapshot file path that
 # scripts consume.
 stats_out=$(mktemp /tmp/stats_snapshot.XXXXXX.json)
-trap 'rm -f "$pipeline" "$smoke" "$obs_smoke" "$trace_smoke" "$chrome_smoke" "$stats_out"' EXIT
+trap 'rm -f "$pipeline" "$figures" "$smoke" "$obs_smoke" "$trace_smoke" "$chrome_smoke" "$stats_out"' EXIT
 cargo run -q --release -p csar-bench --bin stats -- --json-out "$stats_out" > /dev/null
 grep -q '"counters"' "$stats_out" || {
     echo "tier1: FAIL — stats --json-out wrote no counters" >&2
