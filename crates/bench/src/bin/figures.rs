@@ -2,14 +2,15 @@
 //!
 //! ```text
 //! figures [fig1|fig3|fig4a|fig4b|fig5|fig6|fig7|fig8|table2|all] [--scale S]
-//! figures --bench pipeline|datapath|obs|trace [--bench-json PATH] [--scale S]
+//! figures --bench pipeline|cost [--bench-json PATH]
 //! ```
 //!
 //! Prints each figure as an aligned text table (the series the paper
 //! plots). `--scale` shrinks data volumes and caches proportionally for
 //! quick runs; shapes are preserved. `--bench NAME` runs one of the
-//! machine-readable ablations and writes it to `--bench-json PATH`
-//! (default `BENCH_<NAME>.json`).
+//! machine-readable benches and writes it to `--bench-json PATH`
+//! (default `BENCH_<NAME>.json`). Both are exact and deterministic, so
+//! their sizes are fixed: `--scale` applies to the figures only.
 
 use csar_bench::figures::{self, FigOpts};
 use csar_bench::harness::render_table;
@@ -134,9 +135,7 @@ fn main() {
         let path = bench_json_path.unwrap_or_else(|| format!("BENCH_{name}.json"));
         match name.as_str() {
             "pipeline" => bench_pipeline(&path),
-            "datapath" => bench_datapath(&path, scale),
-            "obs" => bench_obs(&path, scale),
-            _ => bench_trace(&path, scale),
+            _ => bench_cost(&path),
         }
     }
     if let Some(path) = json_path {
@@ -155,13 +154,13 @@ fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
         "usage: figures [fig1|fig3|fig4a|fig4b|fig5|fig6|fig7|fig8|table2|extensions|all] [--scale S] [--json PATH]
-       figures --bench pipeline|datapath|obs|trace [--bench-json PATH] [--scale S]"
+       figures --bench pipeline|cost [--bench-json PATH]"
     );
     std::process::exit(2);
 }
 
-/// The machine-readable ablations `--bench` can run.
-const BENCHES: [&str; 4] = ["pipeline", "datapath", "obs", "trace"];
+/// The machine-readable benches `--bench` can run.
+const BENCHES: [&str; 2] = ["pipeline", "cost"];
 
 /// The PR 2 pipelining ablation: barrier vs completion-driven delivery
 /// on the simulator, dumped as machine-readable JSON (default
@@ -212,287 +211,46 @@ fn bench_pipeline(path: &str) {
     println!("\nwrote pipelining ablation to {path}");
 }
 
-/// The zero-allocation datapath bench: `xor_into` GB/s, allocations
-/// per whole-group parity computation, and in-place-fold wall-clock on
-/// the simulator, dumped as machine-readable JSON
-/// (`BENCH_datapath.json`).
-fn bench_datapath(path: &str, scale: f64) {
-    use csar_bench::datapath;
-
-    header("XOR kernel (1 MiB blocks, this host)");
-    let passes = ((64.0 * scale).ceil() as usize).max(4);
-    let xor = datapath::xor_bandwidth(1 << 20, passes);
-    println!("{:>10} {:>12} {:>10}", "kernel", "block", "GB/s");
-    println!("{:>10} {:>12} {:>10.2}", "xor_into", xor.block, xor.gbps);
-
-    header("Heap allocations per whole-group parity computation");
-    let audit = datapath::whole_group_alloc_audit(5, 64 * 1024, 256);
+/// The deterministic cost ledger (`BENCH_cost.json`): allocation
+/// audits of the hot paths and the exact per-case table of requests,
+/// bytes, virtual time, counters, allocations and spans.
+fn bench_cost(path: &str) {
+    header("Cost ledger (exact; 5 servers, 64 KiB unit, real payloads, metrics on)");
+    let ledger = csar_bench::cost::ledger(csar_bench::cost::OPS);
+    let fold = |name: &str, a: &csar_bench::cost::AllocAudit| {
+        println!("{name}: {} groups, warmup {} allocs, steady {} allocs", a.groups, a.warmup_allocs, a.steady_allocs)
+    };
+    fold("fold, registry off", &ledger.fold);
+    fold("fold, registry on ", &ledger.fold_registry_on);
+    for (name, a) in [
+        ("registry record   ", &ledger.registry),
+        ("record_trace off  ", &ledger.record_trace_off),
+        ("record_trace on   ", &ledger.record_trace_on),
+    ] {
+        println!("{name}: {} ops, warmup {} allocs, steady {} allocs", a.ops, a.warmup_allocs, a.steady_allocs);
+    }
     println!(
-        "width {} x {} KiB, {} groups: warmup {} allocs, steady {} allocs ({:.4}/group)",
-        audit.width,
-        audit.unit >> 10,
-        audit.groups,
-        audit.warmup_allocs,
-        audit.steady_allocs,
-        audit.steady_per_group()
+        "\n{:>8} {:>18} {:>5} {:>9} {:>12} {:>9} {:>9} {:>7}",
+        "scheme", "shape", "ops", "requests", "virtual ns", "allocs", "traced", "spans"
     );
-
-    header("In-place parity fold (sim wall-clock, real payloads)");
-    let grid = datapath::inplace_all(scale);
-    println!("{:>8} {:>14} {:>12}", "scheme", "in-place ns", "inpl MB/s");
-    let cases: Vec<Json> = grid
-        .iter()
-        .map(|c| {
-            println!(
-                "{:>8} {:>14} {:>12.1}",
-                c.scheme.label(),
-                c.inplace.wall_ns,
-                c.inplace.wall_write_mbps(),
-            );
-            Json::obj([
-                ("case", Json::from(c.case)),
-                ("scheme", Json::from(c.scheme.label())),
-                ("inplace_wall_ns", Json::from(c.inplace.wall_ns)),
-                ("inplace_wall_mbps", Json::from(c.inplace.wall_write_mbps())),
-                ("bytes_written", Json::from(c.inplace.virt.bytes_written)),
-                ("virtual_ns", Json::from(c.inplace.virt.duration_ns)),
-            ])
-        })
-        .collect();
-    let body = Json::obj([
-        (
-            "kernels",
-            Json::Arr(vec![Json::obj([
-                ("kernel", Json::from("xor_into")),
-                ("block", Json::from(xor.block as u64)),
-                ("gbps", Json::from(xor.gbps)),
-            ])]),
-        ),
-        (
-            "alloc_audit",
-            Json::obj([
-                ("width", Json::from(audit.width as u64)),
-                ("unit", Json::from(audit.unit as u64)),
-                ("groups", Json::from(audit.groups)),
-                ("warmup_allocs", Json::from(audit.warmup_allocs)),
-                ("steady_allocs", Json::from(audit.steady_allocs)),
-            ]),
-        ),
-        ("cases", Json::Arr(cases)),
-    ])
-    .to_pretty();
-    std::fs::write(path, body).unwrap_or_else(|e| {
-        eprintln!("error: cannot write {path}: {e}");
-        std::process::exit(1);
-    });
-    println!("\nwrote datapath ablation to {path}");
-}
-
-/// The observability ablation: metrics-on vs metrics-off wall-clock on
-/// the datapath bench's RAID5 whole-group write shape, plus allocation
-/// audits of the recording hot path and the parity fold with the global
-/// registry enabled, dumped as machine-readable JSON (`BENCH_obs.json`).
-fn bench_obs(path: &str, scale: f64) {
-    use csar_bench::{datapath, obs};
-    use csar_store::ToJson;
-
-    header("Metric recording hot path: heap allocations per recorded op");
-    let reg_audit = obs::registry_alloc_audit(4096);
-    println!(
-        "{} recorded ops: warmup {} allocs, steady {} allocs",
-        reg_audit.ops, reg_audit.warmup_allocs, reg_audit.steady_allocs
-    );
-
-    header("Whole-group parity fold, global registry enabled");
-    csar_obs::global().set_enabled(true);
-    let audit = datapath::whole_group_alloc_audit(5, 64 * 1024, 256);
-    csar_obs::global().set_enabled(false);
-    println!(
-        "width {} x {} KiB, {} groups: warmup {} allocs, steady {} allocs",
-        audit.width,
-        audit.unit >> 10,
-        audit.groups,
-        audit.warmup_allocs,
-        audit.steady_allocs
-    );
-
-    header("Metrics-on vs metrics-off (sim wall-clock, real payloads)");
-    let grid = obs::compare_all(scale);
-    println!(
-        "{:>8} {:>14} {:>14} {:>12} {:>12} {:>9}",
-        "scheme", "off ns", "on ns", "off MB/s", "on MB/s", "overhead"
-    );
-    let cases: Vec<Json> = grid
-        .iter()
-        .map(|c| {
-            println!(
-                "{:>8} {:>14} {:>14} {:>12.1} {:>12.1} {:>8.2}%",
-                c.scheme.label(),
-                c.off.wall_ns,
-                c.on.wall_ns,
-                c.off.wall_write_mbps(),
-                c.on.wall_write_mbps(),
-                c.overhead_pct(),
-            );
-            Json::obj([
-                ("case", Json::from(c.case)),
-                ("scheme", Json::from(c.scheme.label())),
-                ("off_wall_ns", Json::from(c.off.wall_ns)),
-                ("on_wall_ns", Json::from(c.on.wall_ns)),
-                ("off_wall_mbps", Json::from(c.off.wall_write_mbps())),
-                ("on_wall_mbps", Json::from(c.on.wall_write_mbps())),
-                ("bytes_written", Json::from(c.on.virt.bytes_written)),
-                ("virtual_ns", Json::from(c.on.virt.duration_ns)),
-                ("overhead_pct", Json::from(c.overhead_pct())),
-                (
-                    "round_overheads_pct",
-                    Json::Arr(c.round_overheads_pct.iter().map(|&r| Json::from(r)).collect()),
-                ),
-                ("snapshot", c.snapshot.to_json()),
-            ])
-        })
-        .collect();
-    let body = Json::obj([
-        (
-            "registry_alloc_audit",
-            Json::obj([
-                ("ops", Json::from(reg_audit.ops)),
-                ("warmup_allocs", Json::from(reg_audit.warmup_allocs)),
-                ("steady_allocs", Json::from(reg_audit.steady_allocs)),
-            ]),
-        ),
-        (
-            "alloc_audit",
-            Json::obj([
-                ("width", Json::from(audit.width as u64)),
-                ("unit", Json::from(audit.unit as u64)),
-                ("groups", Json::from(audit.groups)),
-                ("warmup_allocs", Json::from(audit.warmup_allocs)),
-                ("steady_allocs", Json::from(audit.steady_allocs)),
-            ]),
-        ),
-        ("cases", Json::Arr(cases)),
-    ])
-    .to_pretty();
-    std::fs::write(path, body).unwrap_or_else(|e| {
-        eprintln!("error: cannot write {path}: {e}");
-        std::process::exit(1);
-    });
-    println!("\nwrote observability ablation to {path}");
-}
-
-/// The causal-tracing ablation (`BENCH_trace.json`, DESIGN.md §15):
-/// tracing-on vs tracing-off wall-clock on the RAID5 whole-group and
-/// Hybrid partial-write paths (metrics on on both sides, so the off
-/// baseline is the PR-4 `BENCH_obs` configuration), allocation audits
-/// of the span-recording hot path in both modes, and a Chrome
-/// `trace_event` export round-tripped through the exporter's own
-/// parser.
-fn bench_trace(path: &str, scale: f64) {
-    use csar_bench::{chrome_trace, trace_overhead};
-
-    header("Span recording hot path: heap allocations per recorded span");
-    let audit_off = trace_overhead::trace_record_alloc_audit(4096, false);
-    let audit_on = trace_overhead::trace_record_alloc_audit(4096, true);
-    for (mode, a) in [("tracing off", &audit_off), ("tracing  on", &audit_on)] {
+    for c in &ledger.cases {
         println!(
-            "{mode}: {} recorded spans: warmup {} allocs, steady {} allocs",
-            a.ops, a.warmup_allocs, a.steady_allocs
+            "{:>8} {:>18} {:>5} {:>9} {:>12} {:>9} {:>9} {:>7}",
+            c.scheme.label(),
+            c.shape.label(),
+            c.stats.ops,
+            c.stats.requests,
+            c.stats.duration_ns,
+            c.allocs,
+            c.allocs_traced,
+            c.spans,
         );
     }
-
-    header("Tracing-on vs tracing-off (sim wall-clock, real payloads, metrics on)");
-    let grid = trace_overhead::compare_tracing(scale);
-    println!(
-        "{:>24} {:>14} {:>14} {:>10} {:>9}",
-        "case", "off ns", "on ns", "spans", "overhead"
-    );
-    let cases: Vec<Json> = grid
-        .iter()
-        .map(|c| {
-            println!(
-                "{:>24} {:>14} {:>14} {:>10} {:>8.2}%",
-                c.case.label(),
-                c.off.wall_ns,
-                c.on.wall_ns,
-                c.spans_on,
-                c.overhead_pct(),
-            );
-            Json::obj([
-                ("case", Json::from(c.case.label())),
-                ("off_wall_ns", Json::from(c.off.wall_ns)),
-                ("on_wall_ns", Json::from(c.on.wall_ns)),
-                ("off_wall_mbps", Json::from(c.off.wall_write_mbps())),
-                ("on_wall_mbps", Json::from(c.on.wall_write_mbps())),
-                ("bytes_written", Json::from(c.on.virt.bytes_written)),
-                ("virtual_ns", Json::from(c.on.virt.duration_ns)),
-                ("overhead_pct", Json::from(c.overhead_pct())),
-                (
-                    "round_overheads_pct",
-                    Json::Arr(c.round_overheads_pct.iter().map(|&r| Json::from(r)).collect()),
-                ),
-                ("spans_on", Json::from(c.spans_on)),
-                (
-                    "phase_counts",
-                    Json::Obj(
-                        c.phase_counts
-                            .iter()
-                            .map(|&(p, n)| (p.to_string(), Json::from(n)))
-                            .collect(),
-                    ),
-                ),
-            ])
-        })
-        .collect();
-
-    header("Chrome trace_event export round-trip");
-    let sample = trace_overhead::sample_traced_spans(scale.min(0.25));
-    let (spans, clamped) = chrome_trace::clamp_into_parents(&sample);
-    let report = chrome_trace::validate_nesting(&spans).unwrap_or_else(|e| {
-        eprintln!("error: causal nesting violated: {e}");
-        std::process::exit(1);
-    });
-    let chrome = chrome_trace::to_chrome_json(&spans).to_pretty();
-    let roundtrip_ok = chrome_trace::parse_chrome_json(&chrome).as_deref() == Ok(&spans[..]);
-    if !roundtrip_ok {
-        eprintln!("error: Chrome export did not round-trip through its own parser");
-        std::process::exit(1);
-    }
-    println!(
-        "{} spans, {} trees, max depth {}, {} clamped; round-trip ok",
-        report.spans, report.trees, report.max_depth, clamped
-    );
-
-    let audit_json = |a: &csar_bench::obs::ObsAllocAudit| {
-        Json::obj([
-            ("ops", Json::from(a.ops)),
-            ("warmup_allocs", Json::from(a.warmup_allocs)),
-            ("steady_allocs", Json::from(a.steady_allocs)),
-        ])
-    };
-    let body = Json::obj([
-        (
-            "trace_alloc_audit",
-            Json::obj([("off", audit_json(&audit_off)), ("on", audit_json(&audit_on))]),
-        ),
-        ("cases", Json::Arr(cases)),
-        (
-            "chrome_roundtrip",
-            Json::obj([
-                ("spans", Json::from(report.spans as u64)),
-                ("trees", Json::from(report.trees as u64)),
-                ("max_depth", Json::from(report.max_depth as u64)),
-                ("clamped", Json::from(clamped as u64)),
-                ("roundtrip_ok", Json::from(roundtrip_ok)),
-            ]),
-        ),
-    ])
-    .to_pretty();
-    std::fs::write(path, body).unwrap_or_else(|e| {
+    std::fs::write(path, ledger.to_json().to_pretty()).unwrap_or_else(|e| {
         eprintln!("error: cannot write {path}: {e}");
         std::process::exit(1);
     });
-    println!("\nwrote tracing ablation to {path}");
+    println!("\nwrote cost ledger to {path}");
 }
 
 fn header(title: &str) {

@@ -5,10 +5,10 @@
 //! ```
 //!
 //! Runs a traced workload — by default a deterministic simulator run of
-//! the RAID5 whole-group and Hybrid partial-write shapes, with `--live`
-//! a threaded in-process cluster — and writes the recorded spans as a
-//! Chrome trace-event document loadable in `chrome://tracing` or
-//! Perfetto.
+//! the cost ledger's RAID5 full-stripe write and Hybrid 4 KiB overwrite
+//! shapes, with `--live` a threaded in-process cluster — and writes the
+//! recorded spans as a Chrome trace-event document loadable in
+//! `chrome://tracing` or Perfetto.
 //!
 //! Before writing, the spans are clamped into their parents (a no-op on
 //! the simulator's virtual clock) and the causal nesting invariant is
@@ -18,7 +18,6 @@
 //! round-trip through its own parser. Any failure exits nonzero.
 
 use csar_bench::chrome_trace::{clamp_into_parents, parse_chrome_json, to_chrome_json, validate_nesting};
-use csar_bench::trace_overhead;
 use csar_obs::trace::TraceSpan;
 
 fn usage(msg: &str) -> ! {
@@ -69,7 +68,7 @@ fn main() {
         }
     }
 
-    let raw = if live { live_spans() } else { trace_overhead::sample_traced_spans(scale) };
+    let raw = if live { live_spans() } else { csar_bench::cost::sample_traced_spans(scale) };
     if raw.is_empty() {
         eprintln!("error: traced run recorded no spans");
         std::process::exit(1);

@@ -13,16 +13,14 @@
 
 pub mod alloc_count;
 pub mod chrome_trace;
+pub mod cost;
 pub mod crit;
-pub mod datapath;
 pub mod extensions;
 pub mod figures;
 pub mod harness;
-pub mod obs;
 pub mod par;
 pub mod pipeline;
 pub mod trace;
-pub mod trace_overhead;
 pub mod trends;
 
 pub use harness::{run_fresh, run_overwrite, ExperimentResult, Series};

@@ -220,7 +220,9 @@ impl Handle {
                 }
             };
         };
-        let (stats, spans) = eng.finish(&mut wire);
+        // alloc-ok: empty, no heap; only a traced op fills it, for the flight recorder
+        let mut spans = Vec::new();
+        let stats = eng.finish(&mut wire, &mut spans);
         if !spans.is_empty() {
             for s in &spans {
                 self.inner.obs.record_trace(s);

@@ -296,8 +296,10 @@ impl OpEngine {
     }
 
     /// End the op, however it ended: abandon whatever is still in
-    /// flight, close the root span, and return the op's stats and spans.
-    pub fn finish(&mut self, ex: &mut impl Executor) -> (OpStats, Vec<TraceSpan>) {
+    /// flight, close the root span, append the op's spans to `out` and
+    /// return its stats. The engine keeps its own span buffer for the
+    /// next op, so a traced op allocates only when `out` grows.
+    pub fn finish(&mut self, ex: &mut impl Executor, out: &mut Vec<TraceSpan>) -> OpStats {
         let now = ex.now_ns();
         self.stats.elapsed_ns = now - self.started;
         self.stats.ttfb_ns = self.first_reply.map_or(0, |t| t - self.started);
@@ -305,7 +307,8 @@ impl OpEngine {
             ex.note(Note::Abandoned(self.inflight.len() as u64));
         }
         self.close(ex, self.root, SpanId::NONE, Phase::Op, self.started, self.stats.requests);
-        (self.stats, std::mem::take(&mut self.spans))
+        out.append(&mut self.spans);
+        self.stats
     }
 
     /// Issue a driver's effects in order, up to `Done`.

@@ -199,7 +199,7 @@ fn run_engine(
             Ready::Compute(token) => eng.compute_done(token, d, &mut ex),
         };
     };
-    eng.finish(&mut ex);
+    eng.finish(&mut ex, &mut Vec::new());
     for r in ex.ready.drain(..) {
         let late = match r {
             Ready::Reply(id, resp) => Completion::Reply { token: d.1[(id - first_id) as usize], resp },

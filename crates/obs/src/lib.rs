@@ -18,8 +18,8 @@
 //! the `no-alloc-request-path` lint stays satisfied with recording
 //! compiled into the request path. Disabling a registry
 //! ([`MetricsRegistry::set_enabled`]) turns every record call into the
-//! bare load-and-return, which is what the `BENCH_obs.json` ablation
-//! measures against.
+//! bare load-and-return. The cost ledger (`BENCH_cost.json`) audits the
+//! zero allocations exactly; the `obs_record` bench times one record.
 //!
 //! A registry freezes into a [`Snapshot`]: plain vectors of named
 //! values that serialize to JSON (the `GetStats` protocol reply and the
@@ -298,7 +298,7 @@ impl MetricsRegistry {
     }
 
     /// Turn recording on or off. Off turns every record call into a
-    /// single relaxed load — the metrics-off side of the ablation.
+    /// single relaxed load.
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
     }

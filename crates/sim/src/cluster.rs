@@ -35,7 +35,7 @@ pub enum Op {
 pub type Phase = Vec<(usize, Vec<Op>)>;
 
 /// Results of one phase.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunStats {
     /// Wall-clock of the phase (last op completion − phase start).
     pub duration_ns: u64,
@@ -154,8 +154,8 @@ pub struct SimCluster {
     /// Carry real bytes in write payloads instead of `Payload::Phantom`,
     /// so the parity folds do real XOR work on the host. Virtual-time
     /// results are unchanged (the sim charges modelled compute either
-    /// way); this exists so the datapath bench can measure host
-    /// wall-clock and allocations of the actual byte pipeline.
+    /// way); this exists so the cost ledger can count the allocations
+    /// of the actual byte pipeline.
     data_payloads: bool,
     /// Shared pattern region backing data-payload mode: grown lazily to
     /// the largest write seen, then sliced per op at O(1). Keeping one
@@ -305,7 +305,7 @@ impl SimCluster {
     /// instead of [`Payload::Phantom`]. Virtual-time results do not
     /// change — the simulator charges modelled XOR/copy time either way —
     /// but the client drivers then do the real byte work, which is what
-    /// the datapath bench times on the host clock.
+    /// the cost ledger counts allocations of.
     pub fn set_data_payloads(&mut self, on: bool) {
         self.data_payloads = on;
     }
@@ -363,8 +363,7 @@ impl SimCluster {
     }
 
     /// Enable or disable metric recording on every simulated server
-    /// engine and on the process-global client-driver registry. Off is
-    /// the ablation baseline for the observability-overhead bench.
+    /// engine and on the process-global client-driver registry.
     pub fn set_metrics_enabled(&mut self, on: bool) {
         for s in &mut self.servers {
             s.obs.set_enabled(on);
@@ -555,9 +554,8 @@ impl SimCluster {
         };
         let Some(result) = step(eng, driver.as_mut(), &mut io) else { return };
         result.expect("simulated op failed");
-        let (stats, spans) = eng.finish(&mut io);
+        let stats = eng.finish(&mut io, &mut self.traces);
         self.op_stats.merge(&stats);
-        self.traces.extend(spans);
         st.driver = None;
         self.queue.push(self.now, Ev::ClientNext(c));
     }

@@ -2,7 +2,7 @@
 //!
 //! The parity data path needs short-lived, block-sized mutable scratch:
 //! the scrubber's and rebuilder's accumulators, the server's RMW
-//! pre-read staging, the datapath bench's steady-state loops. Allocating
+//! pre-read staging, the cost ledger's fold audit. Allocating
 //! those per group puts the allocator on the bandwidth-critical path;
 //! the pool hands the same few buffers out repeatedly instead.
 //!
