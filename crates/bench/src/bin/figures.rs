@@ -217,11 +217,9 @@ fn bench_pipeline(path: &str) {
 fn bench_cost(path: &str) {
     header("Cost ledger (exact; 5 servers, 64 KiB unit, real payloads, metrics on)");
     let ledger = csar_bench::cost::ledger(csar_bench::cost::OPS);
-    let fold = |name: &str, a: &csar_bench::cost::AllocAudit| {
-        println!("{name}: {} groups, warmup {} allocs, steady {} allocs", a.groups, a.warmup_allocs, a.steady_allocs)
-    };
-    fold("fold, registry off", &ledger.fold);
-    fold("fold, registry on ", &ledger.fold_registry_on);
+    let f = &ledger.fold;
+    let (groups, warmup, steady) = (f.groups, f.warmup_allocs, f.steady_allocs);
+    println!("parity fold       : {groups} groups, warmup {warmup} allocs, steady {steady} allocs");
     for (name, a) in [
         ("registry record   ", &ledger.registry),
         ("record_trace off  ", &ledger.record_trace_off),

@@ -13,11 +13,11 @@
 //! Two parts:
 //!
 //! * **Allocation audits** of the zero-allocation hot paths: the
-//!   whole-group parity fold ([`whole_group_alloc_audit`], run with the
-//!   global registry off and on), metric recording on a warm registry
-//!   ([`registry_alloc_audit`]) and [`MetricsRegistry::record_trace`]
-//!   with tracing off and on ([`trace_record_alloc_audit`]). Each must
-//!   report zero steady-state allocations.
+//!   whole-group parity fold ([`whole_group_alloc_audit`]), metric
+//!   recording on a warm registry ([`registry_alloc_audit`]) and
+//!   [`MetricsRegistry::record_trace`] with tracing off and on
+//!   ([`trace_record_alloc_audit`]). Each must report zero steady-state
+//!   allocations.
 //! * **The per-case table** ([`case_cost`]): RAID1/RAID5/Hybrid × the
 //!   four [`Shape`]s on the perfbench geometry (5 servers, 64 KiB stripe
 //!   unit, real payloads, metrics on). Each case runs a warm-up phase,
@@ -236,7 +236,8 @@ pub fn cases() -> impl Iterator<Item = (Scheme, Shape)> {
 pub struct Mode {
     /// Real payload bytes instead of phantom ones.
     pub data: bool,
-    /// Metric recording on the servers and the global client registry.
+    /// Metric recording on the servers and the simulator's client
+    /// registry.
     pub metrics: bool,
     /// Causal tracing.
     pub tracing: bool,
@@ -272,9 +273,6 @@ fn counter_delta(before: &Snapshot, after: &Snapshot) -> Vec<(String, u64)> {
 /// a degraded read, run the `ops`-op list once as warm-up (so one-time
 /// buffer growth stays out of the count), settle the disks, then run
 /// the list again as the measured phase.
-///
-/// Metrics and tracing flip the process-global client registry too, and
-/// both are switched off again before returning.
 pub fn measure(scheme: Scheme, shape: Shape, ops: u64, mode: Mode) -> Measured {
     let mut sim = SimCluster::new(HwProfile::myrinet_pentium3(), SERVERS, 1);
     sim.set_data_payloads(mode.data);
@@ -293,8 +291,6 @@ pub fn measure(scheme: Scheme, shape: Shape, ops: u64, mode: Mode) -> Measured {
     let (stats, allocs) = alloc_count::count(|| sim.run_phase(phase));
     let counters = counter_delta(&before, &sim.metrics_snapshot());
     let spans = sim.take_traces();
-    sim.set_tracing(false);
-    sim.set_metrics_enabled(false);
     Measured { stats, counters, allocs, spans }
 }
 
@@ -340,8 +336,6 @@ pub struct Ledger {
     /// Measured ops per case.
     pub ops: u64,
     pub fold: AllocAudit,
-    /// The fold audit again with the global registry enabled.
-    pub fold_registry_on: AllocAudit,
     pub registry: RecordAudit,
     pub record_trace_off: RecordAudit,
     pub record_trace_on: RecordAudit,
@@ -351,14 +345,9 @@ pub struct Ledger {
 /// Build the ledger with `ops` measured ops per case ([`OPS`] for the
 /// committed file).
 pub fn ledger(ops: u64) -> Ledger {
-    let fold = whole_group_alloc_audit(5, 64 * 1024, 256);
-    csar_obs::global().set_enabled(true);
-    let fold_registry_on = whole_group_alloc_audit(5, 64 * 1024, 256);
-    csar_obs::global().set_enabled(false);
     Ledger {
         ops,
-        fold,
-        fold_registry_on,
+        fold: whole_group_alloc_audit(5, 64 * 1024, 256),
         registry: registry_alloc_audit(4096),
         record_trace_off: trace_record_alloc_audit(4096, false),
         record_trace_on: trace_record_alloc_audit(4096, true),
@@ -414,7 +403,6 @@ impl Ledger {
                 "alloc_audits",
                 Json::obj([
                     ("fold", fold(&self.fold)),
-                    ("fold_registry_on", fold(&self.fold_registry_on)),
                     ("registry", record(&self.registry)),
                     ("record_trace_off", record(&self.record_trace_off)),
                     ("record_trace_on", record(&self.record_trace_on)),
@@ -492,7 +480,6 @@ mod tests {
     /// identical for every case.
     #[test]
     fn datapath_mode_never_changes_virtual_time() {
-        let _global = crate::global_registry_lock();
         for (scheme, shape) in cases() {
             let run = |data| measure(scheme, shape, TEST_OPS, Mode { data, metrics: false, tracing: false });
             let (phantom, data) = (run(false), run(true));
@@ -505,7 +492,6 @@ mod tests {
     /// case, and the metrics-on side records what it served.
     #[test]
     fn metrics_mode_never_changes_virtual_time() {
-        let _global = crate::global_registry_lock();
         for (scheme, shape) in cases() {
             let run = |metrics| measure(scheme, shape, TEST_OPS, Mode { metrics, ..Mode::LEDGER });
             let (off, on) = (run(false), run(true));
@@ -527,7 +513,6 @@ mod tests {
     /// The metrics-off baseline records nothing at all.
     #[test]
     fn metrics_off_records_nothing() {
-        let _global = crate::global_registry_lock();
         let off = measure(Scheme::Raid5, Shape::FullStripeWrite, 2, Mode { metrics: false, ..Mode::LEDGER });
         assert_eq!(off.counters, Vec::new(), "disabled registries must stay empty");
     }
@@ -537,7 +522,6 @@ mod tests {
     /// the traced side records the expected phases.
     #[test]
     fn tracing_mode_never_changes_virtual_time() {
-        let _global = crate::global_registry_lock();
         for (scheme, shape) in cases() {
             let run = |tracing| measure(scheme, shape, TEST_OPS, Mode { tracing, ..Mode::LEDGER });
             let (off, on) = (run(false), run(true));
@@ -554,7 +538,6 @@ mod tests {
     /// trace IDs) and causally well-formed.
     #[test]
     fn sample_spans_are_deterministic_and_nest() {
-        let _global = crate::global_registry_lock();
         let a = sample_traced_spans(0.05);
         let b = sample_traced_spans(0.05);
         assert_eq!(a, b, "sample must be bit-identical across calls");

@@ -24,12 +24,3 @@ pub mod trace;
 pub mod trends;
 
 pub use harness::{run_fresh, run_overwrite, ExperimentResult, Series};
-
-/// Serialises the tests that switch the process-global metrics registry
-/// ([`csar_obs::global`]) on or off: the harness runs tests on parallel
-/// threads, and they all share that one registry.
-#[cfg(test)]
-pub(crate) fn global_registry_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}

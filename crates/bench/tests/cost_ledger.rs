@@ -1,9 +1,5 @@
 //! The cost ledger is deterministic: the same build gives the same
 //! ledger on every run and on every thread.
-//!
-//! This lives in its own test binary because the ledger reads the
-//! process-global client registry, which any simulator running on
-//! another test thread of the library's suite would also record into.
 
 use csar_bench::cost::{ledger, Ledger};
 

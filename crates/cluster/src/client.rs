@@ -1,15 +1,15 @@
 //! The live executor of the completion engine, and the client API.
 //!
 //! Each operation runs [`csar_core::client::engine::OpEngine`] — the
-//! engine the simulator runs too — over a private reply channel, so any
+//! engine the simulator runs too — over a private reply mailbox, so any
 //! number of operations can be in flight on one client. This module
-//! supplies the channel transport: sends, `recv_timeout` until the
-//! engine's next deadline, `ServerDown` answers for failed servers
+//! supplies the mailbox transport: sends, a wait until the engine's
+//! next deadline, `ServerDown` answers for failed servers
 //! (issued and delivered like any reply), the `eng_*` counters and the
 //! flight recorder.
 
 use crate::deploy::Inner;
-use crate::transport::{MgrMsg, ReplySender, ServerMsg};
+use crate::transport::{Mailbox, MgrMsg, ReplySender, ServerMsg};
 use csar_core::client::engine::{EngineConfig, Executor, Note, OpEngine};
 use csar_core::client::{Completion, Effect, OpDriver, OpOutput, ReadDriver, Token, WriteDriver};
 use csar_core::manager::{FileMeta, MgrRequest, MgrResponse};
@@ -20,7 +20,6 @@ use csar_obs::{Ctr, Gauge, Hist, MetricsRegistry};
 use csar_store::{Payload, StorageReport};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -52,7 +51,7 @@ impl Default for TransportConfig {
 
 /// A client's private connection state: request-id allocator over the
 /// shared cluster transport. Carries no lock — each operation owns a
-/// private completion channel, so concurrent operations per handle are
+/// private reply mailbox, so concurrent operations per handle are
 /// fine.
 pub(crate) struct Handle {
     inner: Arc<Inner>,
@@ -77,12 +76,11 @@ impl Executor for Wire<'_> {
     fn send(&mut self, srv: ServerId, req: Request) -> Result<u64, CsarError> {
         let req_id = self.h.next_req.fetch_add(1, Ordering::Relaxed);
         if self.h.inner.down[srv as usize].load(Ordering::SeqCst) {
-            // A failed server answers at once, through the same channel.
-            let _ = self.tx.send((req_id, Response::Err(CsarError::ServerDown(srv)), None));
+            // A failed server answers at once, through the same mailbox.
+            self.tx.push((req_id, Response::Err(CsarError::ServerDown(srv)), None));
         } else {
-            self.h.inner.server_txs[srv as usize]
-                .send(ServerMsg::Req { from: self.h.id, req_id, req, reply_to: self.tx.clone() })
-                .map_err(|_| CsarError::Transport(format!("server {srv} channel closed")))?;
+            let (from, reply_to) = (self.h.id, Arc::clone(&self.tx));
+            self.h.inner.inboxes[srv as usize].push(ServerMsg::Req { from, req_id, req, reply_to });
         }
         self.h.obs().inc(Ctr::EngIssued);
         self.h.obs().gauge_add(Gauge::EngInFlight, 1);
@@ -112,6 +110,7 @@ impl Executor for Wire<'_> {
             Note::Retried => (Ctr::EngRetriedAbandoned, 1),
             Note::TimedOut => (Ctr::EngTimeouts, 1),
             Note::Abandoned(n) => (Ctr::EngAbandoned, n),
+            Note::Count(ctr, n) => return obs.add(ctr, n),
         };
         obs.add(ended, n);
         obs.gauge_sub(Gauge::EngInFlight, n);
@@ -181,17 +180,17 @@ impl Handle {
 
     /// Drive one operation to completion: feed the engine finished
     /// computes first, then replies off the wire until its next
-    /// deadline. A `traced` op (while the cluster's tracing gate is on)
-    /// gets one causal tree — client phases, wire RTTs and server
-    /// piggybacks — retained in the flight recorder, which is dumped
-    /// automatically if the op dies with [`CsarError::Timeout`].
+    /// deadline (one past what `Instant` can hold waits forever). A
+    /// `traced` op (while the cluster's tracing gate is on) gets one
+    /// causal tree — client phases, wire RTTs and server piggybacks —
+    /// retained in the flight recorder, which is dumped automatically if
+    /// the op dies with [`CsarError::Timeout`].
     pub(crate) fn run_op(
         &self,
         driver: &mut dyn OpDriver,
         traced: bool,
     ) -> Result<(OpOutput, OpStats), CsarError> {
-        let (tx, rx) = channel();
-        let mut wire = Wire { h: self, tx, computed: VecDeque::new() };
+        let mut wire = Wire { h: self, tx: Arc::new(Mailbox::new()), computed: VecDeque::new() };
         let trace = (traced && self.inner.obs.tracing_enabled()).then(next_trace_id);
         let t = self.transport();
         let timeout_ns = u64::try_from(t.reply_timeout.as_nanos()).unwrap_or(u64::MAX);
@@ -206,18 +205,13 @@ impl Handle {
                 out = eng.compute_done(token, driver, &mut wire);
                 continue;
             }
-            let got = match eng.next_deadline() {
-                Some(at) => rx.recv_timeout(Duration::from_nanos(at.saturating_sub(wire.now_ns()))),
-                None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-            };
-            out = match got {
-                Ok((req_id, resp, batch)) => {
+            let deadline =
+                eng.next_deadline().and_then(|at| self.inner.epoch.checked_add(Duration::from_nanos(at)));
+            out = match wire.tx.pop(deadline) {
+                Some((req_id, resp, batch)) => {
                     eng.reply(req_id, resp, batch.as_deref().unwrap_or(&[]), driver, &mut wire)
                 }
-                Err(RecvTimeoutError::Timeout) => eng.expire(&mut wire),
-                Err(RecvTimeoutError::Disconnected) => {
-                    Some(Err(CsarError::Transport("reply channel closed".into())))
-                }
+                None => eng.expire(&mut wire),
             };
         };
         // alloc-ok: empty, no heap; only a traced op fills it, for the flight recorder
@@ -263,16 +257,14 @@ impl Handle {
             .ok_or_else(|| CsarError::Transport("empty batch reply".into()))
     }
 
-    /// A manager round trip, counted in [`Ctr::MgrRequests`].
+    /// A manager round trip, counted in [`Ctr::MgrRequests`]. A reply
+    /// timeout past what `Instant` can hold waits forever.
     pub(crate) fn mgr(&self, req: MgrRequest) -> Result<MgrResponse, CsarError> {
-        let (tx, rx) = channel();
-        self.inner
-            .mgr_tx
-            .send(MgrMsg::Req { req, reply_to: tx })
-            .map_err(|_| CsarError::Transport("manager channel closed".into()))?;
+        let reply_to = Arc::new(Mailbox::new());
+        self.inner.mgr_inbox.push(MgrMsg::Req { req, reply_to: Arc::clone(&reply_to) });
         self.inner.obs.inc(Ctr::MgrRequests);
-        rx.recv_timeout(self.transport().reply_timeout)
-            .map_err(|_| CsarError::Transport("manager timed out".into()))
+        let deadline = Instant::now().checked_add(self.transport().reply_timeout);
+        reply_to.pop(deadline).ok_or_else(|| CsarError::Transport("manager timed out".into()))
     }
 
     fn servers(&self) -> u32 {

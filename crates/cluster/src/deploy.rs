@@ -2,7 +2,7 @@
 
 use crate::client::{ClusterClient, Handle, TransportConfig};
 use crate::node::{run_manager, run_server, SharedServer};
-use crate::transport::{MgrMsg, ServerMsg};
+use crate::transport::{Mailbox, MgrMsg, ServerMsg};
 use csar_core::manager::FileMeta;
 use csar_core::proto::{ParityPart, ReqHeader, Request, Scheme, ServerId};
 use csar_core::recovery::RebuildPlan;
@@ -15,7 +15,6 @@ use csar_parity::ParityAccumulator;
 use csar_store::{FromJson, Json, Payload, ToJson};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -26,15 +25,17 @@ use std::time::Instant;
 pub(crate) const FLIGHT_RING: usize = 32;
 
 pub(crate) struct Inner {
-    pub server_txs: Vec<Sender<ServerMsg>>,
-    pub mgr_tx: Sender<MgrMsg>,
+    /// Each I/O server thread's request mailbox, by server ID.
+    pub inboxes: Vec<Arc<Mailbox<ServerMsg>>>,
+    pub mgr_inbox: Arc<Mailbox<MgrMsg>>,
     pub shared: Vec<SharedServer>,
     pub down: Vec<AtomicBool>,
     pub next_client: AtomicU32,
     pub servers: u32,
     pub transport: Mutex<TransportConfig>,
-    /// Cluster-wide client-side metrics (engine, per-op latency,
-    /// cleaner/scrubber); each server keeps its own registry.
+    /// Cluster-wide client-side metrics (engine, driver plan shape and
+    /// reconstructions, per-op latency, cleaner/scrubber); each server
+    /// keeps its own registry.
     pub obs: MetricsRegistry,
     /// Common time origin for every span timestamp in this cluster:
     /// client engines and server threads all report nanoseconds since
@@ -103,31 +104,32 @@ impl Cluster {
     fn spawn_engines(engines: Vec<IoServer>, mgr: Manager) -> Self {
         let n = engines.len() as u32;
         assert!(n > 0, "need at least one I/O server");
-        let mut server_txs = Vec::with_capacity(n as usize);
+        let mut inboxes = Vec::with_capacity(n as usize);
         let mut shared = Vec::with_capacity(n as usize);
         let mut threads = Vec::with_capacity(n as usize + 1);
         let epoch = Instant::now();
         for engine in engines {
             let id = engine.id;
-            let (tx, rx) = channel::<ServerMsg>();
+            let inbox = Arc::new(Mailbox::new());
             let engine: SharedServer = Arc::new(Mutex::new(engine));
-            let engine2 = Arc::clone(&engine);
+            let (inbox2, engine2) = (Arc::clone(&inbox), Arc::clone(&engine));
             threads.push(std::thread::Builder::new()
                 .name(format!("csar-iod-{id}"))
-                .spawn(move || run_server(id, rx, engine2, epoch))
+                .spawn(move || run_server(id, inbox2, engine2, epoch))
                 .expect("spawn server thread"));
-            server_txs.push(tx);
+            inboxes.push(inbox);
             shared.push(engine);
         }
-        let (mgr_tx, mgr_rx) = channel::<MgrMsg>();
+        let mgr_inbox = Arc::new(Mailbox::new());
+        let mgr_inbox2 = Arc::clone(&mgr_inbox);
         threads.push(std::thread::Builder::new()
             .name("csar-mgr".into())
-            .spawn(move || run_manager(mgr_rx, mgr))
+            .spawn(move || run_manager(mgr_inbox2, mgr))
             .expect("spawn manager thread"));
         Cluster {
             inner: Arc::new(Inner {
-                server_txs,
-                mgr_tx,
+                inboxes,
+                mgr_inbox,
                 shared,
                 down: (0..n).map(|_| AtomicBool::new(false)).collect(),
                 next_client: AtomicU32::new(1),
@@ -219,11 +221,10 @@ impl Cluster {
     }
 
     /// Turn metric recording on or off everywhere: the client-side
-    /// registry, every server's registry, and the process-global
-    /// registry the core drivers record into.
+    /// registry (which also takes the drivers' counters) and every
+    /// server's registry.
     pub fn set_metrics_enabled(&self, on: bool) {
         self.inner.obs.set_enabled(on);
-        csar_obs::global().set_enabled(on);
         for srv in 0..self.servers() {
             self.with_server(srv, |s| s.obs.set_enabled(on));
         }
@@ -231,14 +232,13 @@ impl Cluster {
 
     /// Turn causal tracing on or off everywhere: the client-side
     /// registry (which gates the engine's per-op tracer and the flight
-    /// recorder), every server's registry (which gates queue/lock/service
-    /// span emission and piggybacking), and the process-global registry.
+    /// recorder) and every server's registry (which gates
+    /// queue/lock/service span emission and piggybacking).
     ///
     /// Independent of [`Cluster::set_metrics_enabled`]: tracing defaults
     /// to off so the metrics-on hot path stays allocation-free.
     pub fn set_tracing(&self, on: bool) {
         self.inner.obs.set_tracing(on);
-        csar_obs::global().set_tracing(on);
         for srv in 0..self.servers() {
             self.with_server(srv, |s| s.obs.set_tracing(on));
         }
@@ -277,8 +277,7 @@ impl Cluster {
 
     /// One merged snapshot of every registry in the cluster: each
     /// server's (scraped via `GetStats` so the path any remote client
-    /// would use stays exercised), the cluster-wide client registry, and
-    /// the process-global driver registry.
+    /// would use stays exercised) and the cluster-wide client registry.
     pub fn metrics_snapshot(&self) -> Result<csar_obs::Snapshot, CsarError> {
         let client = self.client();
         let mut merged = csar_obs::Snapshot::default();
@@ -295,7 +294,6 @@ impl Cluster {
             }
         }
         merged.merge(&self.inner.obs.snapshot());
-        merged.merge(&csar_obs::global().snapshot());
         Ok(merged)
     }
 
@@ -563,31 +561,48 @@ impl Cluster {
 
     /// Stop all threads and join them.
     pub fn shutdown(self) {
-        for tx in &self.inner.server_txs {
-            let _ = tx.send(ServerMsg::Shutdown);
+        drop(self);
+    }
+}
+
+impl Drop for Cluster {
+    /// Stop and join the threads, also when the owner never called
+    /// [`Cluster::shutdown`]. Non-owning handles (`clone_ref`, used by
+    /// daemons) hold no thread handles and must not stop the cluster.
+    fn drop(&mut self) {
+        let mut threads = self.threads.lock().unwrap_or_else(PoisonError::into_inner);
+        if threads.is_empty() {
+            return;
         }
-        let _ = self.inner.mgr_tx.send(MgrMsg::Shutdown);
-        for t in self.threads.lock().unwrap_or_else(PoisonError::into_inner).drain(..) {
+        for inbox in &self.inner.inboxes {
+            inbox.push(ServerMsg::Shutdown);
+        }
+        self.inner.mgr_inbox.push(MgrMsg::Shutdown);
+        for t in threads.drain(..) {
             let _ = t.join();
         }
     }
 }
 
-impl Drop for Cluster {
-    fn drop(&mut self) {
-        // Best-effort shutdown when the user forgets to call `shutdown`.
-        // Non-owning handles (clone_ref, used by daemons) hold no thread
-        // handles and must not stop the cluster.
-        let mut threads = self.threads.lock().unwrap_or_else(PoisonError::into_inner);
-        if threads.is_empty() {
-            return;
-        }
-        for tx in &self.inner.server_txs {
-            let _ = tx.send(ServerMsg::Shutdown);
-        }
-        let _ = self.inner.mgr_tx.send(MgrMsg::Shutdown);
-        for t in threads.drain(..) {
-            let _ = t.join();
-        }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Weak;
+
+    #[test]
+    fn dropping_a_cluster_without_shutdown_joins_every_thread() {
+        let cluster = Cluster::spawn(3, ServerConfig::default());
+        cluster.client().create("f", Scheme::Hybrid, 512).unwrap().write_at(0, &[1; 700]).unwrap();
+        // Every server thread holds its engine and its mailbox, and the
+        // manager thread its mailbox; the threads let go of them only
+        // by exiting, so once `drop` returns none may be left alive.
+        let inner = &cluster.inner;
+        let engines: Vec<Weak<Mutex<IoServer>>> = inner.shared.iter().map(Arc::downgrade).collect();
+        let inboxes: Vec<Weak<Mailbox<ServerMsg>>> = inner.inboxes.iter().map(Arc::downgrade).collect();
+        let mgr = Arc::downgrade(&inner.mgr_inbox);
+        drop(cluster);
+        assert!(engines.iter().all(|w| w.strong_count() == 0), "a server thread outlived the drop");
+        assert!(inboxes.iter().all(|w| w.strong_count() == 0), "a server thread outlived the drop");
+        assert_eq!(mgr.strong_count(), 0, "the manager thread outlived the drop");
     }
 }

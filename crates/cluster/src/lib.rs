@@ -2,8 +2,9 @@
 //!
 //! Runs the `csar-core` engines as a real concurrent system: one OS
 //! thread per I/O server plus one for the metadata manager, connected by
-//! std mpsc channels (standing in for the TCP/Myrinet transport of the
-//! paper's testbeds). Clients get a blocking, PVFS-library-style API:
+//! [`Mailbox`]es, a `Mutex<VecDeque>` plus a `Condvar` each (standing in
+//! for the TCP/Myrinet transport of the paper's testbeds). Clients get a
+//! blocking, PVFS-library-style API:
 //!
 //! ```
 //! use csar_cluster::Cluster;
@@ -31,3 +32,4 @@ mod transport;
 pub use client::{ClusterClient, File, OpStats, TransportConfig};
 pub use deploy::Cluster;
 pub use maintain::{CleanerHandle, ScrubReport};
+pub use transport::Mailbox;

@@ -1,13 +1,12 @@
 //! Server and manager threads.
 
-use crate::transport::{MgrMsg, ReplySender, ReplyTrace, ServerMsg};
+use crate::transport::{Mailbox, MgrMsg, ReplySender, ReplyTrace, ServerMsg};
 use csar_core::manager::Manager;
 use csar_core::proto::ServerId;
 use csar_core::server::{Effect, IoServer};
 use csar_obs::trace::{Phase, TraceSpan};
 use csar_obs::Gauge;
 use std::collections::{HashMap, VecDeque};
-use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
@@ -29,7 +28,7 @@ fn ns_since(epoch: Instant, t: Instant) -> u64 {
 ///
 /// Requests whose handling is deferred by the parity lock produce their
 /// reply later (when the unlocking write arrives); the thread keeps the
-/// reply channel of every in-flight request keyed by `(client, req_id)`.
+/// reply mailbox of every in-flight request keyed by `(client, req_id)`.
 ///
 /// When tracing is enabled on the engine's registry, the thread times
 /// each request's queue wait (arrival to dispatch) and service (the
@@ -40,7 +39,7 @@ fn ns_since(epoch: Instant, t: Instant) -> u64 {
 /// the same state machine under a virtual clock).
 pub(crate) fn run_server(
     id: ServerId,
-    rx: Receiver<ServerMsg>,
+    inbox: Arc<Mailbox<ServerMsg>>,
     shared: SharedServer,
     epoch: Instant,
 ) {
@@ -50,21 +49,17 @@ pub(crate) fn run_server(
     // their dispatch, attached when the unlocking write finally produces
     // their reply.
     let mut held_spans: HashMap<(u32, u64), TraceSpan> = HashMap::new();
-    // The mpsc channel has no length query, so the loop drains it
-    // greedily into a local backlog; its depth is what the queue-depth
-    // gauge reports. Each entry keeps its arrival time for the
-    // `srv_queue` trace phase.
+    // Before each dispatch the loop moves everything in the mailbox into
+    // a local backlog under one lock (waiting only when the backlog is
+    // empty); the backlog's depth is what the queue-depth gauge reports.
+    // Each entry keeps the time it was taken for the `srv_queue` trace
+    // phase.
+    let mut taken: VecDeque<ServerMsg> = VecDeque::new();
     let mut backlog: VecDeque<(ServerMsg, Instant)> = VecDeque::new();
     'serve: loop {
-        if backlog.is_empty() {
-            match rx.recv() {
-                Ok(msg) => backlog.push_back((msg, Instant::now())),
-                Err(_) => break,
-            }
-        }
-        while let Ok(msg) = rx.try_recv() {
-            backlog.push_back((msg, Instant::now()));
-        }
+        inbox.drain_into(backlog.is_empty(), &mut taken);
+        let now = Instant::now();
+        backlog.extend(taken.drain(..).map(|msg| (msg, now)));
         let Some((msg, arrived_at)) = backlog.pop_front() else { break };
         match msg {
             ServerMsg::Req { from, req_id, req, reply_to } => {
@@ -115,8 +110,9 @@ pub(crate) fn run_server(
                     } else {
                         None
                     };
-                    // A dead client is fine; drop the reply.
-                    let _ = tx.send((rid, resp, batch));
+                    // An op that already ended drops the reply with
+                    // its last handle.
+                    tx.push((rid, resp, batch));
                 }
                 if traced && !replied_current {
                     // Parked on the parity lock: keep the queue-wait span
@@ -142,13 +138,8 @@ pub(crate) fn run_server(
 
 /// Run the manager thread until `Shutdown`, starting from `mgr`
 /// (a fresh manager, or one rebuilt from a snapshot).
-pub(crate) fn run_manager(rx: Receiver<MgrMsg>, mut mgr: Manager) {
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            MgrMsg::Req { req, reply_to } => {
-                let _ = reply_to.send(mgr.handle(req));
-            }
-            MgrMsg::Shutdown => break,
-        }
+pub(crate) fn run_manager(inbox: Arc<Mailbox<MgrMsg>>, mut mgr: Manager) {
+    while let Some(MgrMsg::Req { req, reply_to }) = inbox.pop(None) {
+        reply_to.push(mgr.handle(req));
     }
 }

@@ -452,6 +452,21 @@ fn reply_timeout_of_duration_max_never_expires() {
 }
 
 #[test]
+fn reply_timeout_past_the_clock_range_never_expires() {
+    // A finite timeout too large for `Instant + Duration` waits forever,
+    // on the manager round trip (create) as on the data path.
+    let cluster = Cluster::spawn(4, cfg());
+    cluster.set_reply_timeout(Duration::from_secs(u64::MAX / 4));
+    let f = cluster.client().create("huge", Scheme::Raid5, 512).unwrap();
+    let mut want = pattern(3 * 512, 13);
+    f.write_at(0, &want).unwrap();
+    f.write_at(519, &[5; 256]).unwrap();
+    want[519..775].fill(5);
+    assert_eq!(f.read_at(0, want.len() as u64).unwrap(), want);
+    cluster.shutdown();
+}
+
+#[test]
 fn one_file_handle_supports_concurrent_operations() {
     // No per-operation lock: a single File shared across threads runs
     // its reads and writes concurrently and correctly.

@@ -31,6 +31,7 @@ use super::{Completion, Effect, OpDriver, OpOutput, Token};
 use crate::error::CsarError;
 use crate::proto::{Request, Response, ServerId};
 use csar_obs::trace::{op_span, Phase, SpanId, TraceCtx, TraceId, TraceSpan};
+use csar_obs::Ctr;
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Per-op engine policy. The live cluster derives it from its transport
@@ -91,9 +92,10 @@ impl OpStats {
     }
 }
 
-/// Transport events an executor may count (the live cluster's `eng_*`
-/// metrics). Each request the executor transmits ends in exactly one
-/// `Delivered`, `Retried`, `TimedOut` or `Abandoned` unit.
+/// Events an executor may count: transport events (the live cluster's
+/// `eng_*` metrics) and the driver's own counters. Each request the
+/// executor transmits ends in exactly one `Delivered`, `Retried`,
+/// `TimedOut` or `Abandoned` unit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Note {
     /// A request waited this many ns at the queue head for a window slot.
@@ -112,6 +114,8 @@ pub enum Note {
     TimedOut,
     /// Requests still in flight when the op ended.
     Abandoned(u64),
+    /// A driver's [`Effect::Count`]: add `n` to the counter.
+    Count(Ctr, u64),
 }
 
 /// What the engine needs from whoever runs it: a clock, a wire and a
@@ -124,7 +128,7 @@ pub trait Executor {
     /// Charge `bytes` of parity compute (already done inside the
     /// driver), then report [`OpEngine::compute_done`] for `token`.
     fn compute(&mut self, token: Token, bytes: u64);
-    /// Transport bookkeeping; ignored unless the executor counts it.
+    /// Bookkeeping; ignored unless the executor counts it.
     fn note(&mut self, _note: Note) {}
 }
 
@@ -210,7 +214,8 @@ impl OpEngine {
             d.set_batch_issue(true);
         }
         let effects = d.poll(Completion::Begin);
-        self.traced(ex, self.root, Phase::Plan, self.started, effects.len() as u64);
+        let planned = effects.iter().filter(|e| !matches!(e, Effect::Count { .. })).count();
+        self.traced(ex, self.root, Phase::Plan, self.started, planned as u64);
         self.absorb(effects, ex);
         self.settle(ex)
     }
@@ -327,6 +332,7 @@ impl OpEngine {
                     self.computing.push((token, ex.now_ns(), bytes));
                     ex.compute(token, bytes);
                 }
+                Effect::Count { ctr, n } => ex.note(Note::Count(ctr, n)),
                 Effect::Done(r) => self.out = Some(r),
             }
         }

@@ -43,6 +43,7 @@ pub mod write;
 
 use crate::error::CsarError;
 use crate::proto::{Request, Response, ServerId};
+use csar_obs::Ctr;
 use csar_store::Payload;
 
 pub use read::ReadDriver;
@@ -93,6 +94,14 @@ pub enum Effect {
         token: Token,
         /// XOR bytes to charge to the compute model.
         bytes: u64,
+    },
+    /// Add `n` to counter `ctr` on the executor's registry (plan shape,
+    /// degraded reconstructions). Drivers own no registry.
+    Count {
+        /// The counter.
+        ctr: Ctr,
+        /// Amount to add.
+        n: u64,
     },
     /// The operation finished. No further effects will be produced.
     Done(Result<OpOutput, CsarError>),
@@ -155,6 +164,7 @@ where
                 driver.poll(Completion::Reply { token, resp })
             }
             Effect::Compute { token, .. } => driver.poll(Completion::ComputeDone { token }),
+            Effect::Count { .. } => continue,
             Effect::Done(result) => return result,
         };
         queue.extend(more);

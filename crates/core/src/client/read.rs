@@ -253,7 +253,7 @@ impl ReadDriver {
         let Some(mut rebuilt) = acc else {
             return Err(CsarError::Protocol("reconstruction job with no inputs".into()));
         };
-        csar_obs::global().inc(csar_obs::Ctr::RdDegradedRecons);
+        effects.push(Effect::Count { ctr: csar_obs::Ctr::RdDegradedRecons, n: 1 });
         let bytes = rebuilt.len() * n_inputs;
         // Hybrid: overlay the overflow-mirror runs.
         let span = j.span;

@@ -528,14 +528,15 @@ impl WriteDriver {
             .into_iter()
             .collect();
         for srv in servers {
-            let inval = mirror_inval.remove(&srv).unwrap_or_default();
-            let has_data = data_spans.contains_key(&srv);
+            // The server's mirror invalidations ride its data write, or
+            // its parity write when it holds no data of this write.
+            let mut inval = mirror_inval.remove(&srv).unwrap_or_default();
             if let Some(spans) = data_spans.remove(&srv) {
                 let req = Request::WriteData {
                     hdr: self.hdr,
                     spans,
                     invalidate_primary: hybrid,
-                    invalidate_mirror_spans: if has_data { inval.clone() } else { vec![] },
+                    invalidate_mirror_spans: std::mem::take(&mut inval),
                 };
                 self.send(effects, srv, req, Pending::WriteAck);
             }
@@ -543,7 +544,7 @@ impl WriteDriver {
                 let req = Request::WriteParity {
                     hdr: self.hdr,
                     parts,
-                    invalidate_mirror_spans: if has_data { vec![] } else { inval },
+                    invalidate_mirror_spans: inval,
                 };
                 self.send(effects, srv, req, Pending::WriteAck);
             }
@@ -680,14 +681,12 @@ impl WriteDriver {
     }
 
     /// Plan-shape counters: whole groups vs RMW partials vs Hybrid
-    /// overflow partials, recorded once per op at `Begin`. The driver is
-    /// a handle-free state machine, so these land on the process-global
-    /// registry.
-    fn record_plan_metrics(&self) {
-        let obs = csar_obs::global();
+    /// overflow partials, counted once per op at `Begin` on the
+    /// executor's registry.
+    fn count_plan(&self, effects: &mut Vec<Effect>) {
         if let Some((fo, flen)) = self.full {
             let groups = self.layout().full_groups(fo, flen);
-            obs.add(Ctr::WrWholeGroups, groups.end - groups.start);
+            effects.push(Effect::Count { ctr: Ctr::WrWholeGroups, n: groups.end - groups.start });
         }
         if !self.partials.is_empty() {
             let ctr = if self.scheme() == Scheme::Hybrid {
@@ -695,7 +694,7 @@ impl WriteDriver {
             } else {
                 Ctr::WrRmwGroups
             };
-            obs.add(ctr, self.partials.len() as u64);
+            effects.push(Effect::Count { ctr, n: self.partials.len() as u64 });
         }
     }
 
@@ -732,7 +731,7 @@ impl OpDriver for WriteDriver {
                 if let Some(e) = self.planning_error.take() {
                     return vec![self.fail(e)];
                 }
-                self.record_plan_metrics();
+                self.count_plan(&mut effects);
                 match self.scheme() {
                     Scheme::Raid0 | Scheme::Raid1 => self.emit_simple(&mut effects),
                     Scheme::Hybrid => {

@@ -80,6 +80,7 @@ fn drain(d: &mut dyn OpDriver, effects: Vec<Effect>) -> Result<OpOutput, CsarErr
                 d.poll(Completion::Reply { token, resp: synth_reply(&req) })
             }
             Effect::Compute { token, .. } => d.poll(Completion::ComputeDone { token }),
+            Effect::Count { .. } => continue,
             Effect::Done(r) => return r,
         };
         queue.extend(more);
@@ -258,6 +259,7 @@ fn raid5_unlock_writes_go_out_after_the_data() {
                 assert_eq!(kinds.last().copied(), Some("ParityWriteUnlock"));
                 return;
             }
+            Effect::Count { .. } => {}
             Effect::Done(r) => panic!("finished before computing: {r:?}"),
         }
     }

@@ -396,6 +396,7 @@ fn interleaved_rmw_writers_keep_parity_consistent() {
                     let more = drivers[i].poll(Completion::ComputeDone { token });
                     queues[i].extend(more);
                 }
+                Effect::Count { .. } => {}
                 Effect::Done(r) => {
                     r.unwrap();
                     finished[i] = true;

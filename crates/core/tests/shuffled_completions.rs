@@ -167,6 +167,7 @@ impl Executor for Shuffler<'_> {
             Note::Retried | Note::TimedOut => unreachable!("this executor sets no deadline"),
             Note::Abandoned(n) => self.obs.add(Ctr::EngAbandoned, n),
             Note::WindowStall(_) => self.obs.inc(Ctr::EngWindowStalls),
+            Note::Count(ctr, n) => self.obs.add(ctr, n),
         }
     }
 }

@@ -40,7 +40,6 @@ pub mod trace;
 
 use csar_store::{FromJson, Json, JsonError, ToJson};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
 use trace::{Phase, SpanId, TraceId, TraceSpan};
 
 // ---------------------------------------------------------------------------
@@ -219,11 +218,11 @@ struct TraceSlot {
 
 /// The sharded, lock-free metrics registry.
 ///
-/// One instance lives in every `IoServer`, one cluster-wide instance in
-/// the client transport, and one process [`global`] serves the pure
-/// client-side drivers (which have no handle to pass a registry
-/// through). All recording is wait-free; `snapshot` is the only
-/// operation that allocates.
+/// One instance lives in every `IoServer` and one on each executor's
+/// client side (the live cluster's transport, each simulator), which
+/// also takes the counters the handle-free client drivers emit. All
+/// recording is wait-free; `snapshot` is the only operation that
+/// allocates.
 pub struct MetricsRegistry {
     enabled: AtomicBool,
     /// Independent gate for causal tracing; defaults off.
@@ -537,15 +536,6 @@ fn bucket_of(v: u64) -> usize {
         // Clamp: the top bucket absorbs everything >= 2^62.
         (64 - v.leading_zeros() as usize).min(HIST_BUCKETS - 1)
     }
-}
-
-/// The process-global registry. The pure client drivers (`WriteDriver`,
-/// `ReadDriver`) are handle-free state machines, so their planning
-/// counters land here; executors with their own registry (servers, the
-/// cluster transport) keep theirs separate and merge at snapshot time.
-pub fn global() -> &'static MetricsRegistry {
-    static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
-    GLOBAL.get_or_init(MetricsRegistry::new)
 }
 
 // ---------------------------------------------------------------------------

@@ -10,13 +10,14 @@ use crate::disk::DiskModel;
 use crate::engine::EventQueue;
 use crate::resource::FifoResource;
 use crate::{mb_per_sec, transfer_ns};
-use csar_core::client::engine::{EngineConfig, Executor, Finished, OpEngine, OpStats};
+use csar_core::client::engine::{EngineConfig, Executor, Finished, Note, OpEngine, OpStats};
 use csar_core::client::{OpDriver, ReadDriver, Token, WriteDriver};
 use csar_core::manager::FileMeta;
 use csar_core::proto::{Request, Response, Scheme, ServerId};
 use csar_core::server::{Effect as SrvEffect, IoServer, ServerConfig};
 use csar_core::{CsarError, Layout};
 use csar_obs::trace::{Phase as TrPhase, TraceId, TraceSpan};
+use csar_obs::MetricsRegistry;
 use csar_store::{Bytes, Payload, SplitMix64};
 use std::collections::VecDeque;
 
@@ -168,6 +169,9 @@ pub struct SimCluster {
     tracing: bool,
     next_trace: u64,
     traces: Vec<TraceSpan>,
+    /// This cluster's client-side registry: the drivers' plan-shape and
+    /// reconstruction counters. Each server keeps its own.
+    obs: MetricsRegistry,
     // Phase accounting.
     active_clients: usize,
     bytes_written: u64,
@@ -222,6 +226,7 @@ impl SimCluster {
             tracing: false,
             next_trace: 0,
             traces: Vec::new(),
+            obs: MetricsRegistry::new(),
             active_clients: 0,
             bytes_written: 0,
             bytes_read: 0,
@@ -363,25 +368,24 @@ impl SimCluster {
     }
 
     /// Enable or disable metric recording on every simulated server
-    /// engine and on the process-global client-driver registry.
+    /// engine and on this cluster's client-side registry.
     pub fn set_metrics_enabled(&mut self, on: bool) {
         for s in &mut self.servers {
             s.obs.set_enabled(on);
         }
-        csar_obs::global().set_enabled(on);
+        self.obs.set_enabled(on);
     }
 
     /// Enable deterministic causal tracing: every subsequent op emits a
     /// span tree on the virtual clock ([`SimCluster::take_traces`]).
-    /// Also flips the tracing gate on every simulated server registry
-    /// and the process-global one, so §5.1 lock-wait spans reach the
-    /// engines' trace rings exactly as in a live cluster.
+    /// Also flips the tracing gate on every simulated server registry,
+    /// so §5.1 lock-wait spans reach the engines' trace rings exactly as
+    /// in a live cluster.
     pub fn set_tracing(&mut self, on: bool) {
         self.tracing = on;
         for s in &mut self.servers {
             s.obs.set_tracing(on);
         }
-        csar_obs::global().set_tracing(on);
     }
 
     /// Drain every span emitted since the last call (event order, which
@@ -390,10 +394,10 @@ impl SimCluster {
         std::mem::take(&mut self.traces)
     }
 
-    /// Merged metrics snapshot: every server's registry plus the
-    /// process-global client-driver registry.
+    /// Merged metrics snapshot: every server's registry plus this
+    /// cluster's client-side registry.
     pub fn metrics_snapshot(&self) -> csar_obs::Snapshot {
-        let mut merged = csar_obs::global().snapshot();
+        let mut merged = self.obs.snapshot();
         for s in &self.servers {
             merged.merge(&s.obs.snapshot());
         }
@@ -551,6 +555,7 @@ impl SimCluster {
             res: &mut st.res,
             queue: &mut self.queue,
             next_req: &mut self.next_req,
+            obs: &self.obs,
         };
         let Some(result) = step(eng, driver.as_mut(), &mut io) else { return };
         result.expect("simulated op failed");
@@ -635,8 +640,8 @@ impl SimCluster {
 
 /// One client's executor for one engine step: the virtual clock (fixed
 /// within an event, so `plan`, `submit` and `deliver` take zero virtual
-/// time), the client's modelled CPU and NIC, and the sim-owned request
-/// counter.
+/// time), the client's modelled CPU and NIC, the sim-owned request
+/// counter and the cluster's client-side registry.
 struct SimIo<'a> {
     c: usize,
     now: u64,
@@ -644,6 +649,7 @@ struct SimIo<'a> {
     res: &'a mut NodeRes,
     queue: &'a mut EventQueue<Ev>,
     next_req: &'a mut u64,
+    obs: &'a MetricsRegistry,
 }
 
 impl Executor for SimIo<'_> {
@@ -675,6 +681,12 @@ impl Executor for SimIo<'_> {
         let t = self.res.cpu.acquire(self.now, transfer_ns(bytes, self.profile.xor_bw));
         self.queue.push(t, Ev::ComputeDone { c: self.c, token });
     }
+
+    fn note(&mut self, note: Note) {
+        if let Note::Count(ctr, n) = note {
+            self.obs.add(ctr, n);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -692,6 +704,27 @@ mod tests {
             .map(|i| Op::Write { file, off: i * chunk, len: chunk })
             .collect();
         sim.run_phase(vec![(0, ops)])
+    }
+
+    #[test]
+    fn simulators_on_two_threads_count_only_their_own_ops() {
+        // Both simulators finish their writes before either takes its
+        // snapshot, so a shared registry would show the other's groups.
+        let done = std::sync::Barrier::new(2);
+        let run = |groups: u64| {
+            let mut s = sim(5, 1);
+            let f = s.create_file("f", Scheme::Raid5, 4096);
+            let group = 4 * 4096;
+            one_client_write(&mut s, f, groups * group, group);
+            done.wait();
+            s.metrics_snapshot().counter("wr_whole_groups")
+        };
+        std::thread::scope(|scope| {
+            let a = scope.spawn(|| run(3));
+            let b = scope.spawn(|| run(5));
+            assert_eq!(a.join().unwrap(), 3);
+            assert_eq!(b.join().unwrap(), 5);
+        });
     }
 
     #[test]

@@ -9,6 +9,9 @@ cargo build --release
 cargo test -q
 # Lint gate: clippy on every crate and target, warnings are errors.
 cargo clippy -q --workspace --all-targets -- -D warnings
+# The opt-in microbenchmarks need the bench-ext feature, so the step
+# above skips them; lint them too so they cannot rot unseen.
+cargo clippy -q -p csar-bench --all-targets --features bench-ext -- -D warnings
 # The analysis passes cover the PR 2 modules too: lint's
 # no-unwrap-request-path now includes crates/cluster/src/client.rs, and
 # check's suite exercises the pipelined parity-lock scenarios.
