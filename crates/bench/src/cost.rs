@@ -36,8 +36,7 @@ use csar_obs::trace::{Phase, SpanId, TraceId, TraceSpan};
 use csar_obs::{Ctr, Gauge, Hist, MetricsRegistry, Snapshot};
 use csar_parity::ParityAccumulator;
 use csar_sim::{HwProfile, Op, RunStats, SimCluster};
-use csar_store::{BufferPool, Json, SplitMix64};
-use std::sync::Arc;
+use csar_store::{Json, SplitMix64};
 
 // ---------------------------------------------------------------------------
 // Allocation audits
@@ -52,8 +51,8 @@ pub struct AllocAudit {
     pub unit: usize,
     /// Groups computed after warmup.
     pub groups: u64,
-    /// Heap allocations during the first (warmup) group: the
-    /// accumulator's buffer and the pool's scratch block.
+    /// Heap allocations while building the accumulator and folding the
+    /// first (warmup) group: the accumulator's one reusable buffer.
     pub warmup_allocs: u64,
     /// Heap allocations over all post-warmup groups combined. The
     /// zero-allocation datapath claim is exactly `steady_allocs == 0`.
@@ -66,28 +65,28 @@ fn filled(rng: &mut SplitMix64, len: usize) -> Vec<u8> {
     v
 }
 
-fn compute_group(acc: &mut ParityAccumulator, pool: &Arc<BufferPool>, blocks: &[Vec<u8>]) -> u8 {
+fn compute_group(acc: &mut ParityAccumulator, blocks: &[Vec<u8>]) -> u8 {
     acc.reset();
     for b in blocks {
         acc.fold(b);
     }
-    let mut out = pool.get();
-    out.copy_from_slice(acc.current());
-    out[0] // observable result so the fold cannot be optimised away
+    acc.current()[0] // observable result so the fold cannot be optimised away
 }
 
 /// Count heap allocations per whole-group parity computation on the
-/// reuse path (accumulator + pooled scratch).
+/// reuse path: one accumulator folds every group into its own buffer.
 pub fn whole_group_alloc_audit(width: usize, unit: usize, groups: u64) -> AllocAudit {
     let mut rng = SplitMix64::new(0xDA7A_0002);
     let blocks: Vec<Vec<u8>> = (0..width).map(|_| filled(&mut rng, unit)).collect();
-    let mut acc = ParityAccumulator::new(unit);
-    let pool = BufferPool::new(unit, 2);
-    let (_, warmup_allocs) = alloc_count::count(|| compute_group(&mut acc, &pool, &blocks));
+    let (mut acc, warmup_allocs) = alloc_count::count(|| {
+        let mut acc = ParityAccumulator::new(unit);
+        compute_group(&mut acc, &blocks);
+        acc
+    });
     let (_, steady_allocs) = alloc_count::count(|| {
         let mut sink = 0u8;
         for _ in 0..groups {
-            sink ^= compute_group(&mut acc, &pool, &blocks);
+            sink ^= compute_group(&mut acc, &blocks);
         }
         sink
     });
@@ -446,7 +445,7 @@ mod tests {
     #[test]
     fn steady_state_group_parity_is_allocation_free() {
         let audit = whole_group_alloc_audit(5, 16 * 1024, 64);
-        assert!(audit.warmup_allocs > 0, "warmup must allocate the reusable buffers");
+        assert!(audit.warmup_allocs > 0, "warmup must allocate the reusable buffer");
         assert_eq!(
             audit.steady_allocs, 0,
             "steady-state whole-group parity computation must not touch the heap"

@@ -14,7 +14,6 @@
 //!   redundancy, per scheme, on the live cluster.
 
 use crate::figures::FigOpts;
-use crate::harness::Series;
 use csar_cluster::Cluster;
 use csar_core::proto::Scheme;
 use csar_sim::{HwProfile, Op, SimCluster};
@@ -226,16 +225,6 @@ pub fn write_buffering_ablation(opts: &FigOpts) -> Vec<BufferingRow> {
                 unbuffered: ratio(false, false),
                 padded: ratio(true, true),
             }
-        })
-        .collect()
-}
-
-/// Used by tests: a series view of the degraded-read table.
-pub fn degraded_series(rows: &[DegradedRow]) -> Vec<Series> {
-    rows.iter()
-        .map(|r| Series {
-            label: r.scheme.to_string(),
-            points: vec![(0.0, r.healthy_mbps), (1.0, r.degraded_mbps)],
         })
         .collect()
 }

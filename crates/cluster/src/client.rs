@@ -80,7 +80,9 @@ impl Executor for Wire<'_> {
             self.tx.push((req_id, Response::Err(CsarError::ServerDown(srv)), None));
         } else {
             let (from, reply_to) = (self.h.id, Arc::clone(&self.tx));
-            self.h.inner.inboxes[srv as usize].push(ServerMsg::Req { from, req_id, req, reply_to });
+            if !self.h.inner.inboxes[srv as usize].push(ServerMsg::Req { from, req_id, req, reply_to }) {
+                return Err(CsarError::Transport(format!("server {srv} is shut down")));
+            }
         }
         self.h.obs().inc(Ctr::EngIssued);
         self.h.obs().gauge_add(Gauge::EngInFlight, 1);
@@ -261,7 +263,9 @@ impl Handle {
     /// timeout past what `Instant` can hold waits forever.
     pub(crate) fn mgr(&self, req: MgrRequest) -> Result<MgrResponse, CsarError> {
         let reply_to = Arc::new(Mailbox::new());
-        self.inner.mgr_inbox.push(MgrMsg::Req { req, reply_to: Arc::clone(&reply_to) });
+        if !self.inner.mgr_inbox.push(MgrMsg::Req { req, reply_to: Arc::clone(&reply_to) }) {
+            return Err(CsarError::Transport("the manager is shut down".into()));
+        }
         self.inner.obs.inc(Ctr::MgrRequests);
         let deadline = Instant::now().checked_add(self.transport().reply_timeout);
         reply_to.pop(deadline).ok_or_else(|| CsarError::Transport("manager timed out".into()))

@@ -496,40 +496,18 @@ impl Cluster {
         }
 
         // --- lost overflow logs (Hybrid) --------------------------------------
-        if plan.overflow_primary {
-            // The next server's *mirror* table replicates our primary log.
-            let next = (failed + 1) % ly.servers;
-            let entries = match h.send_one(next, Request::DumpOverflowTable { hdr, mirror: true })? {
-                csar_core::proto::Response::Table { entries } => entries,
-                csar_core::proto::Response::Err(e) => return Err(e),
-                other => return Err(CsarError::Protocol(format!("expected Table, got {other:?}"))),
-            };
-            for e in entries {
-                let span = Span { logical_off: e.logical_off, len: e.len };
-                let runs = match h.send_one(
-                    next,
-                    Request::OverflowFetch { hdr, spans: vec![span], mirror: true },
-                )? {
-                    csar_core::proto::Response::Runs { runs } => runs,
-                    csar_core::proto::Response::Err(e) => return Err(e),
-                    other => {
-                        return Err(CsarError::Protocol(format!("expected Runs, got {other:?}")))
-                    }
-                };
-                for (off, payload) in runs {
-                    let span = Span { logical_off: off, len: payload.len() };
-                    h.send_one(
-                        failed,
-                        Request::OverflowWrite { hdr, spans: vec![(span, payload)], mirror: false },
-                    )?
-                    .into_done()?;
-                }
+        // The next server's *mirror* table replicates our primary log; the
+        // previous server's *primary* table is what our mirror log held.
+        let next = (failed + 1) % ly.servers;
+        let prev = (failed + ly.servers - 1) % ly.servers;
+        for (lost, src, src_mirror, mirror) in [
+            (plan.overflow_primary, next, true, false),
+            (plan.overflow_mirror, prev, false, true),
+        ] {
+            if !lost {
+                continue;
             }
-        }
-        if plan.overflow_mirror {
-            // The previous server's *primary* table is what we mirrored.
-            let prev = (failed + ly.servers - 1) % ly.servers;
-            let entries = match h.send_one(prev, Request::DumpOverflowTable { hdr, mirror: false })? {
+            let entries = match h.send_one(src, Request::DumpOverflowTable { hdr, mirror: src_mirror })? {
                 csar_core::proto::Response::Table { entries } => entries,
                 csar_core::proto::Response::Err(e) => return Err(e),
                 other => return Err(CsarError::Protocol(format!("expected Table, got {other:?}"))),
@@ -537,8 +515,8 @@ impl Cluster {
             for e in entries {
                 let span = Span { logical_off: e.logical_off, len: e.len };
                 let runs = match h.send_one(
-                    prev,
-                    Request::OverflowFetch { hdr, spans: vec![span], mirror: false },
+                    src,
+                    Request::OverflowFetch { hdr, spans: vec![span], mirror: src_mirror },
                 )? {
                     csar_core::proto::Response::Runs { runs } => runs,
                     csar_core::proto::Response::Err(e) => return Err(e),
@@ -548,11 +526,8 @@ impl Cluster {
                 };
                 for (off, payload) in runs {
                     let span = Span { logical_off: off, len: payload.len() };
-                    h.send_one(
-                        failed,
-                        Request::OverflowWrite { hdr, spans: vec![(span, payload)], mirror: true },
-                    )?
-                    .into_done()?;
+                    h.send_one(failed, Request::OverflowWrite { hdr, spans: vec![(span, payload)], mirror })?
+                        .into_done()?;
                 }
             }
         }
@@ -574,10 +549,12 @@ impl Drop for Cluster {
         if threads.is_empty() {
             return;
         }
+        // Closing with the stop message queues nothing behind it: a
+        // request sent from here on fails at once instead of timing out.
         for inbox in &self.inner.inboxes {
-            inbox.push(ServerMsg::Shutdown);
+            inbox.close_with(ServerMsg::Shutdown);
         }
-        self.inner.mgr_inbox.push(MgrMsg::Shutdown);
+        self.inner.mgr_inbox.close_with(MgrMsg::Shutdown);
         for t in threads.drain(..) {
             let _ = t.join();
         }

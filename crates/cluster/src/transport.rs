@@ -12,17 +12,27 @@ use std::time::Instant;
 /// server's and the manager's request queue, and each operation's reply
 /// queue.
 ///
-/// There is no disconnect: a consumer stops on an explicit message
-/// (`ServerMsg::Shutdown`, `MgrMsg::Shutdown`), and a reply pushed for
-/// an operation that has already ended is dropped with the last handle.
+/// A consumer stops on an explicit last message (`ServerMsg::Shutdown`,
+/// `MgrMsg::Shutdown`), which [`Mailbox::close_with`] queues and closes
+/// the mailbox behind in one locked step; a later [`Mailbox::push`]
+/// fails at once, so a request sent to a stopped node is refused rather
+/// than left waiting for a reply that never comes. Reply mailboxes are
+/// never closed: a reply pushed for an operation that has already ended
+/// is dropped with the last handle.
 pub struct Mailbox<T> {
-    queue: Mutex<VecDeque<T>>,
+    queue: Mutex<Queue<T>>,
     ready: Condvar,
+}
+
+/// The messages of a [`Mailbox`] and whether it still takes new ones.
+struct Queue<T> {
+    msgs: VecDeque<T>,
+    closed: bool,
 }
 
 impl<T> Default for Mailbox<T> {
     fn default() -> Self {
-        Self { queue: Mutex::new(VecDeque::new()), ready: Condvar::new() }
+        Self { queue: Mutex::new(Queue { msgs: VecDeque::new(), closed: false }), ready: Condvar::new() }
     }
 }
 
@@ -34,15 +44,35 @@ impl<T> Mailbox<T> {
 
     /// A producer that panicked mid-push cannot leave the deque half
     /// written, so a poisoned lock is recovered rather than propagated.
-    fn lock(&self) -> MutexGuard<'_, VecDeque<T>> {
+    fn lock(&self) -> MutexGuard<'_, Queue<T>> {
         self.queue.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Append `msg` and wake the consumer. The wake-up comes after the
-    /// lock is released, so the woken thread does not block on it.
-    pub fn push(&self, msg: T) {
-        self.lock().push_back(msg);
+    /// Append `msg` and wake the consumer, or return `false` (dropping
+    /// `msg`) if the mailbox is closed. The wake-up comes after the lock
+    /// is released, so the woken thread does not block on it.
+    pub fn push(&self, msg: T) -> bool {
+        self.push_then(msg, false)
+    }
+
+    /// Append `last` and close the mailbox under the same lock, so no
+    /// message can be queued behind it. Returns `false` (dropping
+    /// `last`) if the mailbox was already closed.
+    pub fn close_with(&self, last: T) -> bool {
+        self.push_then(last, true)
+    }
+
+    fn push_then(&self, msg: T, close: bool) -> bool {
+        {
+            let mut queue = self.lock();
+            if queue.closed {
+                return false;
+            }
+            queue.msgs.push_back(msg);
+            queue.closed = close;
+        }
         self.ready.notify_one();
+        true
     }
 
     /// The oldest message, waiting for one until `deadline` (`None`:
@@ -51,7 +81,7 @@ impl<T> Mailbox<T> {
     pub fn pop(&self, deadline: Option<Instant>) -> Option<T> {
         let mut queue = self.lock();
         loop {
-            if let Some(msg) = queue.pop_front() {
+            if let Some(msg) = queue.msgs.pop_front() {
                 return Some(msg);
             }
             queue = match deadline {
@@ -68,10 +98,10 @@ impl<T> Mailbox<T> {
     /// one lock. With `wait` set, first block until there is one.
     pub fn drain_into(&self, wait: bool, out: &mut VecDeque<T>) {
         let mut queue = self.lock();
-        while wait && queue.is_empty() {
+        while wait && queue.msgs.is_empty() {
             queue = self.ready.wait(queue).unwrap_or_else(PoisonError::into_inner);
         }
-        out.append(&mut queue);
+        out.append(&mut queue.msgs);
     }
 }
 
@@ -131,6 +161,18 @@ mod tests {
     }
 
     #[test]
+    fn close_with_queues_its_message_last_and_refuses_later_pushes() {
+        let mb: Mailbox<u32> = Mailbox::new();
+        assert!(mb.push(1));
+        assert!(mb.close_with(2));
+        assert!(!mb.push(3), "a closed mailbox takes no more messages");
+        assert!(!mb.close_with(4), "a mailbox closes once");
+        let mut out = VecDeque::new();
+        mb.drain_into(false, &mut out);
+        assert_eq!(out, [1, 2]);
+    }
+
+    #[test]
     fn producers_lose_nothing_and_keep_their_own_order() {
         const PRODUCERS: u32 = 4;
         const EACH: u32 = 10_000;
@@ -139,7 +181,7 @@ mod tests {
         std::thread::scope(|s| {
             for p in 0..PRODUCERS {
                 let mb = &mb;
-                s.spawn(move || (0..EACH).for_each(|i| mb.push((p, i))));
+                s.spawn(move || (0..EACH).for_each(|i| assert!(mb.push((p, i)))));
             }
             for _ in 0..PRODUCERS * EACH {
                 let (p, i) = mb.pop(None).expect("no deadline");

@@ -7,7 +7,7 @@ use csar_core::recovery::parity_consistent;
 use csar_core::server::ServerConfig;
 use csar_core::CsarError;
 use csar_store::{SplitMix64, StreamKind};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn cfg() -> ServerConfig {
     ServerConfig { fs_block: 512, ..ServerConfig::default() }
@@ -464,6 +464,37 @@ fn reply_timeout_past_the_clock_range_never_expires() {
     want[519..775].fill(5);
     assert_eq!(f.read_at(0, want.len() as u64).unwrap(), want);
     cluster.shutdown();
+}
+
+#[test]
+fn a_read_after_shutdown_fails_at_once() {
+    // Shutting the cluster down closes every server's mailbox behind its
+    // stop message, so a read through a `File` that outlived the cluster
+    // is refused on the spot instead of waiting out its reply deadline
+    // and both retries.
+    let cluster = Cluster::spawn(4, cfg());
+    cluster.set_reply_timeout(Duration::from_millis(50));
+    let f = cluster.client().create("orphan", Scheme::Raid5, 512).unwrap();
+    f.write_at(0, &pattern(3 * 512, 14)).unwrap();
+    cluster.shutdown();
+    match f.read_at(0, 3 * 512) {
+        Err(CsarError::Transport(_)) => {}
+        other => panic!("expected Transport, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_manager_request_after_shutdown_fails_before_its_deadline() {
+    let timeout = Duration::from_secs(2);
+    let cluster = Cluster::spawn(4, cfg());
+    cluster.set_reply_timeout(timeout);
+    let client = cluster.client();
+    client.create("gone", Scheme::Hybrid, 512).unwrap();
+    cluster.shutdown();
+    let t0 = Instant::now();
+    let res = client.open("gone");
+    assert!(t0.elapsed() < timeout, "open waited {:?} for a stopped manager", t0.elapsed());
+    assert!(matches!(res, Err(CsarError::Transport(_))), "expected Transport");
 }
 
 #[test]

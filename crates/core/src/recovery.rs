@@ -15,7 +15,6 @@
 //! [`RebuildPlan`] enumerates the work for one file; the live cluster's
 //! `rebuild_server` walks it with ordinary protocol requests.
 
-use crate::layout::Layout;
 use crate::manager::FileMeta;
 use crate::proto::{Scheme, ServerId};
 
@@ -88,23 +87,10 @@ pub fn parity_consistent(data_blocks: &[&[u8]], parity: &[u8]) -> bool {
     computed == parity
 }
 
-/// Which surviving servers participate in reconstructing block `b` under
-/// a parity scheme: the homes of the group's other blocks plus the parity
-/// server.
-pub fn reconstruction_sources(ly: &Layout, b: u64) -> Vec<ServerId> {
-    let g = ly.group_of_block(b);
-    let mut out: Vec<ServerId> = ly
-        .group_blocks(g)
-        .filter(|x| *x != b)
-        .map(|x| ly.home_server(x))
-        .collect();
-    out.push(ly.parity_server(g));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::Layout;
     use crate::proto::Scheme;
 
     fn meta(scheme: Scheme, servers: u32, unit: u64, size: u64) -> FileMeta {
@@ -138,16 +124,6 @@ mod tests {
         assert!(plan.overflow_primary);
         assert!(plan.overflow_mirror);
         assert!(plan.mirror_blocks.is_empty(), "hybrid has no RAID1 mirror stream");
-    }
-
-    #[test]
-    fn reconstruction_sources_exclude_lost_block() {
-        let ly = Layout::new(4, 8);
-        // Block 5: group 5/3 = 1 (blocks 3,4,5); homes 3,0,1; parity server of g1.
-        let srcs = reconstruction_sources(&ly, 5);
-        assert_eq!(srcs.len(), 3);
-        assert!(!srcs.contains(&ly.home_server(5)));
-        assert!(srcs.contains(&ly.parity_server(1)));
     }
 
     #[test]

@@ -19,7 +19,6 @@ use csar_obs::trace::{Phase, TraceCtx, TraceSpan};
 use csar_obs::{Ctr, Gauge, MetricsRegistry};
 use csar_store::{
     CacheModel, FromJson, Json, JsonError, LocalStore, Payload, StoreImage, StreamKind, ToJson,
-    WriteBuffer,
 };
 use std::collections::HashMap;
 
@@ -143,11 +142,6 @@ pub struct ServerConfig {
     /// pre-read ever happens ("we artificially padded all partial block
     /// writes at the I/O servers so that only full blocks were written").
     pub pad_partial_blocks: bool,
-    /// Sequential readahead depth in fs blocks (0 = off, the paper
-    /// configuration). A read continuing a per-stream sequential run
-    /// prefetches up to this many further blocks, charged as disk reads
-    /// up front; later sequential reads then hit in cache.
-    pub readahead_blocks: u64,
 }
 
 impl Default for ServerConfig {
@@ -157,7 +151,6 @@ impl Default for ServerConfig {
             cache_bytes: 768 << 20,
             write_buffering: true,
             pad_partial_blocks: false,
-            readahead_blocks: 0,
         }
     }
 }
@@ -250,13 +243,11 @@ pub struct IoServer {
 impl IoServer {
     /// A fresh server.
     pub fn new(id: ServerId, cfg: ServerConfig) -> Self {
-        let mut cache = CacheModel::new(cfg.fs_block, cfg.cache_bytes);
-        cache.set_readahead(cfg.readahead_blocks);
         Self {
             id,
             cfg,
             store: LocalStore::new(),
-            cache,
+            cache: CacheModel::new(cfg.fs_block, cfg.cache_bytes),
             locks: ParityLockTable::new(),
             overflow: HashMap::new(),
             overflow_mirror: HashMap::new(),
@@ -284,14 +275,6 @@ impl IoServer {
     /// Live overflow bytes for a file (primary table).
     pub fn overflow_live_bytes(&self, fh: u64) -> u64 {
         self.overflow.get(&fh).map(OverflowTable::live_bytes).unwrap_or(0)
-    }
-
-    /// Live overflow bytes within `[off, off+len)` of a file — the
-    /// ranged liveness query the §6.7 cleaner issues per parity group
-    /// (`mirror` selects the mirror table).
-    pub fn overflow_live_in_range(&self, fh: u64, off: u64, len: u64, mirror: bool) -> u64 {
-        let table = if mirror { &self.overflow_mirror } else { &self.overflow };
-        table.get(&fh).map(|t| t.live_in_range(off, len)).unwrap_or(0)
     }
 
     /// Snapshot the server's durable state.
@@ -846,16 +829,13 @@ impl IoServer {
             return cost;
         };
         let fs = self.cfg.fs_block;
-        // Readahead never runs past the stored stream: prefetching past
-        // EOF would fabricate disk traffic the file system cannot issue.
-        let eof = file.size();
         for blk in off / fs..=(off + len - 1) / fs {
             // A resident block is a hit; an absent one is read from disk
             // unless it is a hole — zeros, free, nothing becomes resident.
             let on_disk = || file.range_touches(blk * fs, fs);
-            if let Some(rac) = self.cache.read_block_bounded((fh, stream), blk, eof, on_disk) {
+            if let Some(rac) = self.cache.read_block((fh, stream), blk, on_disk) {
                 cost.cache_read_bytes += rac.hit_blocks * fs;
-                cost.disk_read_bytes += (rac.miss_blocks + rac.prefetched_blocks) * fs;
+                cost.disk_read_bytes += rac.miss_blocks * fs;
             }
         }
         cost.disk_read_ops = u64::from(cost.disk_read_bytes > 0);
@@ -886,7 +866,7 @@ impl IoServer {
             };
             if self.cfg.write_buffering {
                 // Only the unaligned head/tail blocks can be partial.
-                WriteBuffer::partial_edge_blocks(fs, off, len).for_each(pre_read);
+                partial_edge_blocks(fs, off, len).for_each(pre_read);
             } else {
                 // §5.2 pathology: non-blocking receives deliver whatever
                 // the socket has (~RECV_CHUNK at a time), so every
@@ -942,6 +922,29 @@ impl IoServer {
         self.cache.evict_file(fh);
         cost
     }
+}
+
+/// The file-system blocks of `[off, off+len)` that a §5.2 *buffered*
+/// write still touches partially: at most the head and tail blocks.
+///
+/// With write buffering each connection accumulates network data and
+/// flushes it to the file in whole blocks, so only the unaligned edges
+/// of a request can need a pre-read. Yields block indices, head first,
+/// without allocating: [`IoServer::classify_write`] calls it on every
+/// write.
+fn partial_edge_blocks(block_size: u64, off: u64, len: u64) -> impl Iterator<Item = u64> {
+    let (mut head, mut tail) = (None, None);
+    if len > 0 {
+        let first = off / block_size;
+        let last = (off + len - 1) / block_size;
+        if !off.is_multiple_of(block_size) {
+            head = Some(first);
+        }
+        if !(off + len).is_multiple_of(block_size) && (head.is_none() || last != first) {
+            tail = Some(last);
+        }
+    }
+    head.into_iter().chain(tail)
 }
 
 #[cfg(test)]
@@ -1285,5 +1288,22 @@ mod tests {
         let (resp, _) = only_reply(s.handle(9, 3, Request::ReadData { hdr: h, spans: vec![span] }));
         assert_eq!(resp.into_payload().unwrap(), Payload::zeros(8));
         assert_eq!(s.store().usage_for(1).total(), 0);
+    }
+
+    #[test]
+    fn partial_edge_blocks_cases() {
+        let edges = |off, len| partial_edge_blocks(4096, off, len).collect::<Vec<_>>();
+        // Fully aligned: no partial blocks.
+        assert!(edges(0, 8192).is_empty());
+        // Unaligned head only.
+        assert_eq!(edges(100, 8092), vec![0]);
+        // Unaligned tail only.
+        assert_eq!(edges(0, 5000), vec![1]);
+        // Both edges.
+        assert_eq!(edges(100, 8000), vec![0, 1]);
+        // Sub-block write entirely inside one block: one entry, not two.
+        assert_eq!(edges(10, 20), vec![0]);
+        // Zero length.
+        assert!(edges(5, 0).is_empty());
     }
 }

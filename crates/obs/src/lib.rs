@@ -173,10 +173,6 @@ metric_enum! {
     }
 }
 
-fn ctr_by_name(name: &str) -> Option<Ctr> {
-    Ctr::ALL.into_iter().find(|c| c.name() == name)
-}
-
 // ---------------------------------------------------------------------------
 // Registry internals
 // ---------------------------------------------------------------------------
@@ -743,12 +739,6 @@ impl FromJson for Snapshot {
         };
         Ok(Snapshot { counters, gauges, hists, traces })
     }
-}
-
-/// Look up a counter identifier by its snapshot name (used by tooling
-/// that folds snapshots back into typed queries).
-pub fn counter_named(name: &str) -> Option<Ctr> {
-    ctr_by_name(name)
 }
 
 // ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ use crate::kernels::xor_into;
 
 /// Accumulates the XOR of a sequence of equal-length blocks.
 ///
-/// Used by the client write planners when assembling the parity block for
-/// a full parity-group write: blocks are folded in as they are produced,
-/// without materialising the whole group twice.
+/// Used by the overflow cleaner, rebuild and scrub when they recompute a
+/// group's parity from its data blocks: blocks are folded in as they
+/// arrive, without materialising the whole group twice.
 ///
 /// ```
 /// use csar_parity::ParityAccumulator;
@@ -50,9 +50,9 @@ impl ParityAccumulator {
     /// XOR a *partial* block into the accumulator at `offset`.
     ///
     /// Bytes outside `[offset, offset + part.len())` are treated as zero,
-    /// which is exactly the semantics needed when a group member is only
-    /// partially covered by a write (the remainder keeps its old parity
-    /// contribution via the RMW delta path).
+    /// which is exactly the semantics needed when a group member arrives
+    /// in chunks, or only partly exists (a tail group's missing bytes
+    /// read as zeros).
     ///
     /// # Panics
     /// Panics if the range exceeds the block length.

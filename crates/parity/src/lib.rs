@@ -12,8 +12,6 @@
 //! * [`ParityAccumulator`] — streaming parity over the blocks of a parity
 //!   group;
 //! * [`parity_of`] — one-shot parity of a set of equal-length blocks;
-//! * [`apply_delta`] / [`delta`] — the read-modify-write parity update used
-//!   by partial-group RAID5 writes (`P' = P ⊕ D_old ⊕ D_new`);
 //! * [`reconstruct`] — recover a lost block from the surviving members of
 //!   its parity group.
 //!
@@ -44,29 +42,6 @@ pub fn parity_of(blocks: &[&[u8]]) -> Vec<u8> {
         xor_into(&mut acc, b);
     }
     acc
-}
-
-/// Compute the parity delta `old ⊕ new` for a read-modify-write update.
-///
-/// The result, XOR-ed into the old parity (see [`apply_delta`]), yields the
-/// new parity: `P' = P ⊕ (D_old ⊕ D_new)`.
-///
-/// # Panics
-/// Panics if `old_data` and `new_data` differ in length.
-pub fn delta(old_data: &[u8], new_data: &[u8]) -> Vec<u8> {
-    assert_eq!(old_data.len(), new_data.len(), "delta requires equal lengths");
-    let mut d = old_data.to_vec();
-    xor_into(&mut d, new_data);
-    d
-}
-
-/// Apply a parity delta in place: `parity ^= delta`.
-///
-/// # Panics
-/// Panics if lengths differ.
-pub fn apply_delta(parity: &mut [u8], delta: &[u8]) {
-    assert_eq!(parity.len(), delta.len(), "apply_delta requires equal lengths");
-    xor_into(parity, delta);
 }
 
 #[cfg(test)]
@@ -104,21 +79,6 @@ mod tests {
         // XOR-ing the parity with one block recovers the other.
         let recovered = parity_of(&[&p, &a]);
         assert_eq!(recovered, b);
-    }
-
-    #[test]
-    fn rmw_delta_matches_full_recompute() {
-        let d0: Vec<u8> = (0..64).map(|i| i as u8).collect();
-        let d1: Vec<u8> = (0..64).map(|i| (i * 3) as u8).collect();
-        let d2: Vec<u8> = (0..64).map(|i| (i * 7) as u8).collect();
-        let mut parity = parity_of(&[&d0, &d1, &d2]);
-
-        // Update d1 via the RMW path.
-        let d1_new: Vec<u8> = (0..64).map(|i| (i ^ 0x5a) as u8).collect();
-        let dl = delta(&d1, &d1_new);
-        apply_delta(&mut parity, &dl);
-
-        assert_eq!(parity, parity_of(&[&d0, &d1_new, &d2]));
     }
 
     #[test]

@@ -188,7 +188,6 @@ impl SimCluster {
             cache_bytes: profile.server_cache_bytes,
             write_buffering: profile.write_buffering,
             pad_partial_blocks: profile.pad_partial_blocks,
-            ..ServerConfig::default()
         };
         Self {
             profile,
@@ -252,11 +251,6 @@ impl SimCluster {
         layout.check_scheme(scheme).expect("invalid scheme for layout");
         self.files.push(FileMeta { fh, name: name.into(), scheme, layout, size: 0 });
         self.files.len() - 1
-    }
-
-    /// Metadata snapshot of a file.
-    pub fn file_meta(&self, file: usize) -> FileMeta {
-        self.files[file].clone()
     }
 
     /// Drop a file from every server's page cache ("contents removed
@@ -461,12 +455,6 @@ impl SimCluster {
             ttfb_ns: self.op_stats.ttfb_ns,
             stall_ns: self.op_stats.queue_stall_ns,
         }
-    }
-
-    /// Convenience: run several phases back to back, returning per-phase
-    /// stats.
-    pub fn run_phases(&mut self, phases: Vec<Phase>) -> Vec<RunStats> {
-        phases.into_iter().map(|p| self.run_phase(p)).collect()
     }
 
     // ---------------------------------------------------------------------

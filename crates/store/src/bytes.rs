@@ -3,7 +3,7 @@
 //! [`Bytes`] is a cheaply cloneable, cheaply sliceable immutable byte
 //! buffer: clones and sub-slices share one reference-counted allocation,
 //! which is what makes [`crate::Payload::slice`] O(1) regardless of
-//! payload size. [`BytesMut`] is the matching append-only builder.
+//! payload size.
 //!
 //! Only the surface the workspace actually uses is provided; this keeps
 //! the build hermetic (no registry access) without giving up the
@@ -159,39 +159,6 @@ impl std::fmt::Debug for Bytes {
     }
 }
 
-/// An append-only byte builder that freezes into a [`Bytes`].
-#[derive(Default)]
-pub struct BytesMut {
-    buf: Vec<u8>,
-}
-
-impl BytesMut {
-    /// A builder with reserved capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        BytesMut { buf: Vec::with_capacity(cap) }
-    }
-
-    /// Append a slice.
-    pub fn extend_from_slice(&mut self, s: &[u8]) {
-        self.buf.extend_from_slice(s);
-    }
-
-    /// Length accumulated so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been appended.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Convert into an immutable [`Bytes`] without copying.
-    pub fn freeze(self) -> Bytes {
-        Bytes::from(self.buf)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,14 +177,6 @@ mod tests {
     #[should_panic(expected = "out of")]
     fn slice_out_of_range_panics() {
         Bytes::from(vec![0; 3]).slice(1..5);
-    }
-
-    #[test]
-    fn builder_freezes() {
-        let mut m = BytesMut::with_capacity(4);
-        m.extend_from_slice(&[1, 2]);
-        m.extend_from_slice(&[3]);
-        assert_eq!(m.freeze(), Bytes::from(vec![1, 2, 3]));
     }
 
     #[test]

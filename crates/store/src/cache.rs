@@ -89,14 +89,10 @@ pub struct RangeAccess {
     pub hit_blocks: u64,
     /// Blocks that had to come from disk (now resident).
     pub miss_blocks: u64,
-    /// Blocks loaded *ahead* of the request by sequential readahead
-    /// (also from disk, also now resident). Zero unless readahead is
-    /// enabled and the access continued a sequential stream.
-    pub prefetched_blocks: u64,
 }
 
 impl RangeAccess {
-    /// Total blocks the request itself touched (excludes readahead).
+    /// Total blocks the request touched.
     pub fn total(&self) -> u64 {
         self.hit_blocks + self.miss_blocks
     }
@@ -118,10 +114,6 @@ pub struct CacheModel {
     lru: usize,
     /// Most recently used slot, or [`NIL`].
     mru: usize,
-    /// Blocks to prefetch past a sequential read (0 = readahead off).
-    readahead_blocks: u64,
-    /// Per-stream sequential-read detector: next expected block index.
-    streams: FxHashMap<FileKey, u64>,
 }
 
 impl CacheModel {
@@ -139,17 +131,7 @@ impl CacheModel {
             free: Vec::new(),
             lru: NIL,
             mru: NIL,
-            readahead_blocks: 0,
-            streams: FxHashMap::default(),
         }
-    }
-
-    /// Enable sequential readahead: a read that starts exactly where the
-    /// previous read of the same stream ended prefetches up to `blocks`
-    /// further blocks. `0` (the default) disables readahead, keeping the
-    /// model bit-identical to the paper-reproduction configuration.
-    pub fn set_readahead(&mut self, blocks: u64) {
-        self.readahead_blocks = blocks;
     }
 
     /// An effectively unbounded cache (everything stays resident).
@@ -165,11 +147,6 @@ impl CacheModel {
     /// Resident blocks.
     pub fn resident_blocks(&self) -> u64 {
         self.index.len() as u64
-    }
-
-    /// Resident bytes.
-    pub fn resident_bytes(&self) -> u64 {
-        self.resident_blocks() * self.block_size
     }
 
     fn block_range(&self, off: u64, len: u64) -> std::ops::Range<u64> {
@@ -250,75 +227,31 @@ impl CacheModel {
         }
     }
 
-    /// Sequential readahead after a read of the blocks `range`: if the
-    /// read continued its stream, load up to `readahead_blocks` absent
-    /// blocks past it, never at or past `eof` bytes. Returns how many
-    /// were loaded.
-    fn read_ahead(&mut self, key: FileKey, range: std::ops::Range<u64>, eof: u64) -> u64 {
-        if self.readahead_blocks == 0 {
-            return 0;
-        }
-        let mut prefetched = 0;
-        if self.streams.get(&key) == Some(&range.start) {
-            let eof_block = eof.div_ceil(self.block_size);
-            let stop = range.end.saturating_add(self.readahead_blocks).min(eof_block);
-            for blk in range.end..stop {
-                if self.probe((key, blk), false, || true) == Probe::Loaded {
-                    prefetched += 1;
-                }
-            }
-        }
-        self.streams.insert(key, range.end);
-        prefetched
-    }
-
     /// Classify a *read* of `[off, off+len)`: hits stay resident, misses
     /// are loaded (counted as disk blocks) and become resident.
     pub fn read_range(&mut self, key: FileKey, off: u64, len: u64) -> RangeAccess {
-        self.read_range_bounded(key, off, len, u64::MAX)
-    }
-
-    /// [`read_range`](Self::read_range) with readahead clamped to `eof`:
-    /// blocks starting at or past `eof` bytes are never prefetched
-    /// (prefetching past the stored stream would fabricate disk traffic
-    /// the real file system could not issue). The request itself is not
-    /// clamped — callers already bound it.
-    pub fn read_range_bounded(&mut self, key: FileKey, off: u64, len: u64, eof: u64) -> RangeAccess {
         let mut acc = RangeAccess::default();
-        let range = self.block_range(off, len);
-        for blk in range.clone() {
+        for blk in self.block_range(off, len) {
             match self.probe((key, blk), true, || true) {
                 Probe::Hit => acc.hit_blocks += 1,
                 _ => acc.miss_blocks += 1,
             }
         }
-        if len > 0 {
-            acc.prefetched_blocks = self.read_ahead(key, range, eof);
-        }
         acc
     }
 
-    /// [`read_range_bounded`](Self::read_range_bounded) of the one block
-    /// `blk`, for a caller that knows where the holes are: an absent
-    /// block is loaded (a miss) only if `on_disk()` says it holds data.
-    /// An absent hole reads as zeros without touching the disk, so
-    /// nothing becomes resident, the readahead detector does not move,
-    /// and the result is `None`. One hash probe decides all three cases.
-    pub fn read_block_bounded(
-        &mut self,
-        key: FileKey,
-        blk: u64,
-        eof: u64,
-        on_disk: impl FnOnce() -> bool,
-    ) -> Option<RangeAccess> {
-        let mut acc = RangeAccess::default();
+    /// [`read_range`](Self::read_range) of the one block `blk`, for a
+    /// caller that knows where the holes are: an absent block is loaded
+    /// (a miss) only if `on_disk()` says it holds data. An absent hole
+    /// reads as zeros without touching the disk, so nothing becomes
+    /// resident and the result is `None`. One hash probe decides all
+    /// three cases.
+    pub fn read_block(&mut self, key: FileKey, blk: u64, on_disk: impl FnOnce() -> bool) -> Option<RangeAccess> {
         match self.probe((key, blk), true, on_disk) {
-            Probe::Hit => acc.hit_blocks = 1,
-            Probe::Loaded => acc.miss_blocks = 1,
-            Probe::Skipped => return None,
+            Probe::Hit => Some(RangeAccess { hit_blocks: 1, miss_blocks: 0 }),
+            Probe::Loaded => Some(RangeAccess { hit_blocks: 0, miss_blocks: 1 }),
+            Probe::Skipped => None,
         }
-        acc.prefetched_blocks = self.read_ahead(key, blk..blk + 1, eof);
-        Some(acc)
     }
 
     /// Record a *write* of `[off, off+len)`: written blocks become
@@ -351,7 +284,6 @@ impl CacheModel {
             }
             i = next;
         }
-        self.streams.retain(|(handle, _), _| *handle != fh);
     }
 
     /// Drop everything.
@@ -361,7 +293,6 @@ impl CacheModel {
         self.free.clear();
         self.lru = NIL;
         self.mru = NIL;
-        self.streams.clear();
     }
 }
 
@@ -391,25 +322,11 @@ mod tests {
         block_size: u64,
         capacity: usize,
         order: Vec<BlockKey>,
-        readahead: u64,
-        streams: Vec<(FileKey, u64)>,
-        /// Sequential reads whose readahead `eof` cut short, and blocks
-        /// prefetched: the test asserts both paths ran.
-        clamped: u64,
-        prefetched: u64,
     }
 
     impl Reference {
         fn new(block_size: u64, capacity_blocks: usize) -> Self {
-            Self {
-                block_size,
-                capacity: capacity_blocks,
-                order: Vec::new(),
-                readahead: 0,
-                streams: Vec::new(),
-                clamped: 0,
-                prefetched: 0,
-            }
+            Self { block_size, capacity: capacity_blocks, order: Vec::new() }
         }
 
         fn contains(&self, key: BlockKey) -> bool {
@@ -431,42 +348,23 @@ mod tests {
             hit
         }
 
-        fn read(&mut self, key: FileKey, off: u64, len: u64, eof: u64) -> RangeAccess {
+        fn read(&mut self, key: FileKey, off: u64, len: u64) -> RangeAccess {
             let mut acc = RangeAccess::default();
             if len == 0 {
                 return acc;
             }
-            let (start, end) = (off / self.block_size, (off + len - 1) / self.block_size + 1);
-            for blk in start..end {
+            for blk in off / self.block_size..(off + len - 1) / self.block_size + 1 {
                 if self.touch((key, blk)) {
                     acc.hit_blocks += 1;
                 } else {
                     acc.miss_blocks += 1;
                 }
             }
-            if self.readahead > 0 {
-                let at = self.streams.iter().position(|(k, _)| *k == key);
-                if at.is_some_and(|p| self.streams[p].1 == start) {
-                    let stop = end.saturating_add(self.readahead).min(eof.div_ceil(self.block_size));
-                    self.clamped += u64::from(stop < end + self.readahead);
-                    for blk in end..stop {
-                        if !self.contains((key, blk)) {
-                            self.touch((key, blk));
-                            acc.prefetched_blocks += 1;
-                        }
-                    }
-                    self.prefetched += acc.prefetched_blocks;
-                }
-                match at {
-                    Some(p) => self.streams[p].1 = end,
-                    None => self.streams.push((key, end)),
-                }
-            }
             acc
         }
 
-        fn read_block(&mut self, key: FileKey, blk: u64, eof: u64, on_disk: bool) -> Option<RangeAccess> {
-            (on_disk || self.contains((key, blk))).then(|| self.read(key, blk * self.block_size, 1, eof))
+        fn read_block(&mut self, key: FileKey, blk: u64, on_disk: bool) -> Option<RangeAccess> {
+            (on_disk || self.contains((key, blk))).then(|| self.read(key, blk * self.block_size, 1))
         }
 
         fn write(&mut self, key: FileKey, off: u64, len: u64) {
@@ -479,12 +377,10 @@ mod tests {
 
         fn evict_file(&mut self, fh: u64) {
             self.order.retain(|((handle, _), _)| *handle != fh);
-            self.streams.retain(|((handle, _), _)| *handle != fh);
         }
 
         fn evict_all(&mut self) {
             self.order.clear();
-            self.streams.clear();
         }
     }
 
@@ -492,38 +388,28 @@ mod tests {
     fn matches_the_reference_lru_on_random_call_sequences() {
         const BS: u64 = 4096;
         const STREAMS: [StreamKind; 3] = [StreamKind::Data, StreamKind::Parity, StreamKind::Mirror];
-        let (mut clamped, mut prefetched) = (0, 0);
         for seed in 0..40u64 {
             let mut rng = SplitMix64::new(seed);
             let capacity = if seed % 8 == 7 { 32 } else { 1 + rng.gen_usize(0..8) };
             let files = 2 + rng.gen_range(0..3);
             let mut model = CacheModel::new(BS, capacity as u64 * BS + rng.gen_range(0..BS));
             let mut reference = Reference::new(BS, capacity);
-            // Every block any call may reach: requests stay below block
-            // 16 and readahead adds at most 4 past them.
+            // Every block any call may reach: requests stay below block 16.
             let universe: Vec<BlockKey> = (1..=files)
-                .flat_map(|fh| STREAMS.iter().flat_map(move |&st| (0..24).map(move |blk| ((fh, st), blk))))
+                .flat_map(|fh| STREAMS.iter().flat_map(move |&st| (0..16).map(move |blk| ((fh, st), blk))))
                 .collect();
             for step in 0..500 {
                 let key = (1 + rng.gen_range(0..files), STREAMS[rng.gen_usize(0..STREAMS.len())]);
                 let off = rng.gen_range(0..12) * BS + rng.gen_range(0..2) * rng.gen_range(0..BS);
                 let len = rng.gen_range(0..3) * BS + rng.gen_range(0..2) * rng.gen_range(0..BS);
-                let eof = match rng.gen_range(0..3) {
-                    0 => u64::MAX,
-                    _ => rng.gen_range(0..18 * BS),
-                };
-                let ctx = format!("seed {seed} step {step} key {key:?} off {off} len {len} eof {eof}");
-                match rng.gen_range(0..100) {
-                    0..=29 => assert_eq!(
-                        model.read_range_bounded(key, off, len, eof),
-                        reference.read(key, off, len, eof),
-                        "{ctx}"
-                    ),
+                let ctx = format!("seed {seed} step {step} key {key:?} off {off} len {len}");
+                match rng.gen_range(0..92) {
+                    0..=29 => assert_eq!(model.read_range(key, off, len), reference.read(key, off, len), "{ctx}"),
                     30..=49 => {
                         let (blk, on_disk) = (off / BS, rng.gen_bool(0.5));
                         assert_eq!(
-                            model.read_block_bounded(key, blk, eof, || on_disk),
-                            reference.read_block(key, blk, eof, on_disk),
+                            model.read_block(key, blk, || on_disk),
+                            reference.read_block(key, blk, on_disk),
                             "{ctx}"
                         );
                     }
@@ -535,14 +421,9 @@ mod tests {
                         model.evict_file(key.0);
                         reference.evict_file(key.0);
                     }
-                    90..=91 => {
+                    _ => {
                         model.evict_all();
                         reference.evict_all();
-                    }
-                    _ => {
-                        let blocks = rng.gen_range(0..5);
-                        model.set_readahead(blocks);
-                        reference.readahead = blocks;
                     }
                 }
                 assert_eq!(model.resident_blocks(), reference.order.len() as u64, "{ctx}");
@@ -551,19 +432,16 @@ mod tests {
                     assert_eq!(model.contains_block(k, blk), reference.contains((k, blk)), "{ctx}");
                 }
             }
-            clamped += reference.clamped;
-            prefetched += reference.prefetched;
         }
-        assert!(clamped > 0 && prefetched > 0, "readahead ran {prefetched} blocks, {clamped} clamped by EOF");
     }
 
     #[test]
     fn cold_read_is_all_misses_then_hits() {
         let mut c = CacheModel::new(4096, 1 << 20);
         let a = c.read_range((1, DATA), 0, 8192);
-        assert_eq!(a, RangeAccess { hit_blocks: 0, miss_blocks: 2, prefetched_blocks: 0 });
+        assert_eq!(a, RangeAccess { hit_blocks: 0, miss_blocks: 2 });
         let b = c.read_range((1, DATA), 0, 8192);
-        assert_eq!(b, RangeAccess { hit_blocks: 2, miss_blocks: 0, prefetched_blocks: 0 });
+        assert_eq!(b, RangeAccess { hit_blocks: 2, miss_blocks: 0 });
     }
 
     #[test]
@@ -624,48 +502,5 @@ mod tests {
             c.write_range((1, DATA), i * 4096, 4096);
         }
         assert_eq!(c.resident_blocks(), 10_000);
-    }
-
-    #[test]
-    fn readahead_prefetches_only_on_sequential_streams() {
-        let mut c = CacheModel::new(4096, 1 << 20);
-        c.set_readahead(4);
-        // First read of the stream: not yet sequential, no prefetch.
-        let a = c.read_range((1, DATA), 0, 8192);
-        assert_eq!(a, RangeAccess { hit_blocks: 0, miss_blocks: 2, prefetched_blocks: 0 });
-        // Continuation: prefetch kicks in past the requested range.
-        let b = c.read_range((1, DATA), 8192, 8192);
-        assert_eq!(b, RangeAccess { hit_blocks: 0, miss_blocks: 2, prefetched_blocks: 4 });
-        // The prefetched blocks now hit without further disk traffic.
-        let d = c.read_range((1, DATA), 16384, 16384);
-        assert_eq!(d.miss_blocks, 0);
-        assert_eq!(d.hit_blocks, 4);
-        // A random (non-adjacent) read never prefetches.
-        let r = c.read_range((1, DATA), 4096 * 100, 4096);
-        assert_eq!(r.prefetched_blocks, 0);
-    }
-
-    #[test]
-    fn readahead_respects_eof_bound() {
-        let mut c = CacheModel::new(4096, 1 << 20);
-        c.set_readahead(8);
-        c.read_range_bounded((1, DATA), 0, 4096, 4096 * 3);
-        let b = c.read_range_bounded((1, DATA), 4096, 4096, 4096 * 3);
-        assert_eq!(b.prefetched_blocks, 1, "only one block remains before EOF");
-    }
-
-    #[test]
-    fn readahead_off_by_default_and_streams_reset_on_eviction() {
-        let mut c = CacheModel::new(4096, 1 << 20);
-        let a = c.read_range((1, DATA), 0, 4096);
-        let b = c.read_range((1, DATA), 4096, 4096);
-        assert_eq!(a.prefetched_blocks + b.prefetched_blocks, 0);
-        c.set_readahead(2);
-        c.read_range((1, DATA), 8192, 4096);
-        c.evict_file(1);
-        // The stream tracker was dropped with the file: the next read is
-        // treated as a fresh (non-sequential) access.
-        let d = c.read_range((1, DATA), 12288, 4096);
-        assert_eq!(d.prefetched_blocks, 0);
     }
 }

@@ -149,11 +149,6 @@ impl Json {
         matches!(self, Json::Arr(_))
     }
 
-    /// True for `Json::Obj`.
-    pub fn is_object(&self) -> bool {
-        matches!(self, Json::Obj(_))
-    }
-
     /// True for `Json::Null`.
     pub fn is_null(&self) -> bool {
         matches!(self, Json::Null)

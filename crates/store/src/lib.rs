@@ -20,11 +20,8 @@
 //! * [`CacheModel`] — an LRU block-cache model of the server's OS page
 //!   cache, used to classify reads/writes as cache hits or disk accesses
 //!   (drives the §5.2 and §6 cache effects in the simulator).
-//! * [`WriteBuffer`] — the §5.2 fix: accumulate network chunks into
-//!   aligned file-system blocks before writing, so non-blocking receives
-//!   do not cause partial-block writes.
-//! * [`Bytes`]/[`BytesMut`] and [`Json`] — std-only replacements for the
-//!   `bytes` and `serde_json` crates, keeping the workspace hermetic.
+//! * [`Bytes`] and [`Json`] — std-only replacements for the `bytes` and
+//!   `serde_json` crates, keeping the workspace hermetic.
 
 pub mod bytes;
 pub mod json;
@@ -34,18 +31,14 @@ mod accounting;
 mod cache;
 mod local;
 mod payload;
-mod pool;
 mod sparse;
-mod write_buffer;
 
 pub use accounting::{fmt_mb, StorageReport, StreamUsage};
-pub use bytes::{Bytes, BytesMut};
+pub use bytes::Bytes;
 pub use cache::{CacheModel, FileKey};
 pub use json::{FromJson, Json, JsonError, ToJson};
 pub use cache::RangeAccess;
 pub use local::{LocalStore, StoreImage, StreamKind};
 pub use payload::Payload;
-pub use pool::{BufferPool, PooledBuf};
 pub use rng::SplitMix64;
 pub use sparse::SparseFile;
-pub use write_buffer::{FlushedBlock, WriteBuffer};

@@ -27,11 +27,6 @@ impl SplitMix64 {
         z ^ (z >> 31)
     }
 
-    /// Next 32-bit output.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform draw from `[range.start, range.end)`.
     ///
     /// # Panics

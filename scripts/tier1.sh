@@ -12,6 +12,11 @@ cargo clippy -q --workspace --all-targets -- -D warnings
 # The opt-in microbenchmarks need the bench-ext feature, so the step
 # above skips them; lint them too so they cannot rot unseen.
 cargo clippy -q -p csar-bench --all-targets --features bench-ext -- -D warnings
+# The benchmark (perfbench/, its own cargo package) calls the crates'
+# APIs directly; build it exactly as perfbench/run.py does, so a change
+# that breaks one of those calls fails here rather than in a benchmark
+# run.
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml
 # The analysis passes cover the PR 2 modules too: lint's
 # no-unwrap-request-path now includes crates/cluster/src/client.rs, and
 # check's suite exercises the pipelined parity-lock scenarios.
