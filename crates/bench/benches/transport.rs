@@ -1,14 +1,18 @@
 //! The live cluster's transport queue ([`csar_cluster::Mailbox`]) against
 //! std `mpsc`, the channel it replaced, kept here only as the reference.
 //! Each iteration is one client op's wire pattern: a fresh reply queue,
-//! one request to each of `n` server threads, and `n` replies back into
-//! that queue. `n = 1` is a round trip (a Hybrid 4 KiB overwrite's
-//! shape per request); `n = 5` is the fan-out of a 5-server full-stripe
-//! write. EXPERIMENTS.md, "Mailbox transport", has the numbers.
+//! one request to each of `n` servers, and `n` replies back into that
+//! queue. `n = 1` is a round trip (a Hybrid 4 KiB overwrite's shape per
+//! request); `n = 5` is the fan-out of a 5-server full-stripe write.
+//! `mailbox` and `mpsc` run each server on its own thread; `shared`
+//! queues all `n` requests to one worker thread hosting every server and
+//! rings it once, as the cluster does when it runs on one CPU.
+//! EXPERIMENTS.md, "Mailbox transport", has the numbers.
 
 use csar_bench::crit as criterion;
 use criterion::{criterion_group, criterion_main, Criterion};
 use csar_cluster::Mailbox;
+use std::collections::VecDeque;
 use std::hint::black_box;
 use std::sync::{mpsc, Arc};
 
@@ -40,6 +44,31 @@ fn bench_transport(c: &mut Criterion) {
             for inbox in &inboxes {
                 inbox.push(None);
             }
+        });
+
+        let worker: Mailbox<MailReq> = Mailbox::new();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut taken = VecDeque::new();
+                loop {
+                    worker.drain_into(true, &mut taken);
+                    for msg in taken.drain(..) {
+                        let Some((v, reply)) = msg else { return };
+                        reply.push(v);
+                    }
+                }
+            });
+            group.bench_function(format!("shared/{n}"), |b| {
+                b.iter(|| {
+                    let reply = Arc::new(Mailbox::new());
+                    for i in 0..n {
+                        worker.queue(Some((black_box(i), Arc::clone(&reply))));
+                    }
+                    worker.ring();
+                    (0..n).map(|_| reply.pop(None).expect("no deadline")).sum::<u64>()
+                })
+            });
+            worker.push(None);
         });
 
         let (txs, rxs): (Vec<mpsc::Sender<ChanReq>>, Vec<_>) = (0..n).map(|_| mpsc::channel()).unzip();

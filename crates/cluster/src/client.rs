@@ -50,13 +50,15 @@ impl Default for TransportConfig {
 }
 
 /// A client's private connection state: request-id allocator over the
-/// shared cluster transport. Carries no lock — each operation owns a
-/// private reply mailbox, so concurrent operations per handle are
-/// fine.
+/// shared cluster transport. Each operation owns a private engine and
+/// reply mailbox, so concurrent operations per handle are fine; the one
+/// lock guards the pair a quiet op left for the next to reuse.
 pub(crate) struct Handle {
     inner: Arc<Inner>,
     id: ClientId,
     next_req: AtomicU64,
+    /// An engine and reply mailbox no reply can still reach.
+    spare: Mutex<Option<(OpEngine, ReplySender)>>,
 }
 
 /// One operation's side of the transport: the engine's [`Executor`].
@@ -66,6 +68,20 @@ struct Wire<'h> {
     tx: ReplySender,
     /// Computes the driver already did, to be reported back.
     computed: VecDeque<Token>,
+    /// Bit `w` set: a request is queued for worker `w` but not rung.
+    unrung: u64,
+}
+
+impl Wire<'_> {
+    /// Wake each worker a request was queued to since the last ring,
+    /// once however many it got.
+    fn ring(&mut self) {
+        while self.unrung != 0 {
+            let w = self.unrung.trailing_zeros();
+            self.unrung &= self.unrung - 1;
+            self.h.inner.inboxes[w as usize].ring();
+        }
+    }
 }
 
 impl Executor for Wire<'_> {
@@ -79,10 +95,13 @@ impl Executor for Wire<'_> {
             // A failed server answers at once, through the same mailbox.
             self.tx.push((req_id, Response::Err(CsarError::ServerDown(srv)), None));
         } else {
+            // Queued unrung: `run_op` rings once the engine call is over.
             let (from, reply_to) = (self.h.id, Arc::clone(&self.tx));
-            if !self.h.inner.inboxes[srv as usize].push(ServerMsg::Req { from, req_id, req, reply_to }) {
+            let w = self.h.inner.inbox_of(srv);
+            if !self.h.inner.inboxes[w].queue(ServerMsg::Req { srv, from, req_id, req, reply_to }) {
                 return Err(CsarError::Transport(format!("server {srv} is shut down")));
             }
+            self.unrung |= 1 << w;
         }
         self.h.obs().inc(Ctr::EngIssued);
         self.h.obs().gauge_add(Gauge::EngInFlight, 1);
@@ -163,7 +182,7 @@ impl OpDriver for Batch {
 impl Handle {
     pub(crate) fn new(inner: Arc<Inner>) -> Self {
         let id = inner.next_client.fetch_add(1, Ordering::SeqCst);
-        Self { inner, id, next_req: AtomicU64::new(1) }
+        Self { inner, id, next_req: AtomicU64::new(1), spare: Mutex::new(None) }
     }
 
     fn fresh(&self) -> Handle {
@@ -182,24 +201,27 @@ impl Handle {
 
     /// Drive one operation to completion: feed the engine finished
     /// computes first, then replies off the wire until its next
-    /// deadline (one past what `Instant` can hold waits forever). A
-    /// `traced` op (while the cluster's tracing gate is on) gets one
-    /// causal tree — client phases, wire RTTs and server piggybacks —
-    /// retained in the flight recorder, which is dumped automatically if
-    /// the op dies with [`CsarError::Timeout`].
+    /// deadline (one past what `Instant` can hold waits forever). After
+    /// every engine call, each worker it queued requests to is rung
+    /// once. A `traced` op (while the cluster's tracing gate is on) gets
+    /// one causal tree — client phases, wire RTTs and server piggybacks
+    /// — retained in the flight recorder, which is dumped automatically
+    /// if the op dies with [`CsarError::Timeout`].
     pub(crate) fn run_op(
         &self,
         driver: &mut dyn OpDriver,
         traced: bool,
     ) -> Result<(OpOutput, OpStats), CsarError> {
-        let mut wire = Wire { h: self, tx: Arc::new(Mailbox::new()), computed: VecDeque::new() };
+        let spare = self.spare.lock().unwrap_or_else(PoisonError::into_inner).take();
+        let (mut eng, tx) = spare.unwrap_or_else(|| (OpEngine::default(), Arc::new(Mailbox::new())));
+        let mut wire = Wire { h: self, tx, computed: VecDeque::new(), unrung: 0 };
         let trace = (traced && self.inner.obs.tracing_enabled()).then(next_trace_id);
         let t = self.transport();
         let timeout_ns = u64::try_from(t.reply_timeout.as_nanos()).unwrap_or(u64::MAX);
         let cfg = EngineConfig { window: t.window, timeout_ns, retries: t.retries, backoff: t.backoff, barrier: false };
-        let mut eng = OpEngine::default();
         let mut out = eng.begin(cfg, trace, driver, &mut wire);
         let res = loop {
+            wire.ring();
             if let Some(res) = out {
                 break res;
             }
@@ -219,6 +241,11 @@ impl Handle {
         // alloc-ok: empty, no heap; only a traced op fills it, for the flight recorder
         let mut spans = Vec::new();
         let stats = eng.finish(&mut wire, &mut spans);
+        if eng.quiet() {
+            // No reply can reach this mailbox any more, so the next op
+            // may reuse it; otherwise both go, with any late reply.
+            *self.spare.lock().unwrap_or_else(PoisonError::into_inner) = Some((eng, wire.tx));
+        }
         if !spans.is_empty() {
             for s in &spans {
                 self.inner.obs.record_trace(s);
@@ -273,14 +300,6 @@ impl Handle {
 
     fn servers(&self) -> u32 {
         self.inner.servers
-    }
-
-    fn failed(&self) -> Option<ServerId> {
-        self.inner
-            .down
-            .iter()
-            .position(|d| d.load(Ordering::SeqCst))
-            .map(|i| i as u32)
     }
 }
 
@@ -434,7 +453,7 @@ impl File {
         let t0 = Instant::now();
         // Like reads, writes proceed around a fail-stopped server where
         // the scheme's redundancy permits (see WriteDriver::new_degraded).
-        let failed = self.handle.failed();
+        let failed = self.handle.inner.failed();
         let mut driver = WriteDriver::new_degraded(&self.meta, off, payload, failed);
         let (out, stats) = self.handle.run_op(&mut driver, true)?;
         self.record(&stats);
@@ -467,7 +486,7 @@ impl File {
             return Ok(Payload::zeros(0));
         }
         let t0 = Instant::now();
-        let failed = self.handle.failed();
+        let failed = self.handle.inner.failed();
         let mut driver = ReadDriver::new(&self.meta, off, len, failed);
         let (out, stats) = self.handle.run_op(&mut driver, true)?;
         self.handle.obs().observe(Hist::OpReadNs, t0.elapsed().as_nanos() as u64);

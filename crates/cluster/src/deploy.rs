@@ -1,17 +1,16 @@
 //! Cluster lifecycle: spawn, failure injection, rebuild, shutdown.
 
 use crate::client::{ClusterClient, Handle, TransportConfig};
-use crate::node::{run_manager, run_server, SharedServer};
+use crate::node::{run_manager, run_worker, SharedServer};
 use crate::transport::{Mailbox, MgrMsg, ServerMsg};
 use csar_core::manager::FileMeta;
-use csar_core::proto::{ParityPart, ReqHeader, Request, Scheme, ServerId};
+use csar_core::proto::{ParityPart, ReqHeader, Request, Response, Scheme, ServerId};
 use csar_core::recovery::RebuildPlan;
 use csar_core::manager::Manager;
 use csar_core::server::{IoServer, ServerConfig, ServerImage};
 use csar_core::{CsarError, Span};
 use csar_obs::trace::{build_trees, TraceSpan};
 use csar_obs::MetricsRegistry;
-use csar_parity::ParityAccumulator;
 use csar_store::{FromJson, Json, Payload, ToJson};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -24,8 +23,13 @@ use std::time::Instant;
 /// failed op *plus* the ops that competed with it for the same servers.
 pub(crate) const FLIGHT_RING: usize = 32;
 
+/// Server workers at most: [`Cluster::spawn`] runs one per CPU, and
+/// an op records the workers it must ring in one `u64`.
+pub(crate) const MAX_WORKERS: usize = 64;
+
 pub(crate) struct Inner {
-    /// Each I/O server thread's request mailbox, by server ID.
+    /// Each server worker's request mailbox; server `s` is hosted by
+    /// worker `s % inboxes.len()` (see [`Inner::inbox_of`]).
     pub inboxes: Vec<Arc<Mailbox<ServerMsg>>>,
     pub mgr_inbox: Arc<Mailbox<MgrMsg>>,
     pub shared: Vec<SharedServer>,
@@ -38,7 +42,7 @@ pub(crate) struct Inner {
     /// keeps its own registry.
     pub obs: MetricsRegistry,
     /// Common time origin for every span timestamp in this cluster:
-    /// client engines and server threads all report nanoseconds since
+    /// client engines and server workers all report nanoseconds since
     /// this instant, so one op's spans stitch onto a single axis.
     pub epoch: Instant,
     /// Flight recorder: span sets of the most recent traced ops.
@@ -49,6 +53,16 @@ pub(crate) struct Inner {
 }
 
 impl Inner {
+    /// The worker hosting server `srv`: its index into `inboxes`.
+    pub(crate) fn inbox_of(&self, srv: ServerId) -> usize {
+        srv as usize % self.inboxes.len()
+    }
+
+    /// The first failed server, if any.
+    pub(crate) fn failed(&self) -> Option<ServerId> {
+        self.down.iter().position(|d| d.load(Ordering::SeqCst)).map(|i| i as u32)
+    }
+
     /// Retain a completed op's spans in the flight-recorder ring.
     pub(crate) fn record_flight(&self, spans: Vec<TraceSpan>) {
         let mut ring = self.flight.lock().unwrap_or_else(PoisonError::into_inner);
@@ -81,9 +95,18 @@ impl Inner {
     }
 }
 
+/// One server worker per CPU this process may run on, but no more
+/// workers than servers (nor than [`MAX_WORKERS`]). Pinned to one CPU,
+/// every server shares one worker.
+fn cpu_workers(servers: u32) -> usize {
+    let cpus = std::thread::available_parallelism().map_or(1, usize::from);
+    cpus.min(servers as usize).clamp(1, MAX_WORKERS)
+}
+
 /// A running in-process CSAR cluster.
 ///
-/// Spawns `n` I/O server threads and a manager thread. Cheap to share:
+/// Runs `n` I/O server engines on one worker thread per CPU (at most
+/// one per server) and a manager thread. Cheap to share:
 /// [`Cluster::client`] hands out independent client handles that can be
 /// used from separate threads concurrently.
 pub struct Cluster {
@@ -98,27 +121,27 @@ impl Cluster {
     /// Panics if `n == 0`.
     pub fn spawn(n: u32, cfg: ServerConfig) -> Self {
         let engines = (0..n).map(|id| IoServer::new(id, cfg)).collect();
-        Self::spawn_engines(engines, Manager::new())
+        Self::spawn_engines(engines, Manager::new(), cpu_workers(n))
     }
 
-    fn spawn_engines(engines: Vec<IoServer>, mgr: Manager) -> Self {
+    /// Start `engines` (server `i` is `engines[i]`) on `workers` server
+    /// worker threads, server `s` on worker `s % workers`, and `mgr` on
+    /// the manager thread.
+    fn spawn_engines(engines: Vec<IoServer>, mgr: Manager, workers: usize) -> Self {
         let n = engines.len() as u32;
         assert!(n > 0, "need at least one I/O server");
-        let mut inboxes = Vec::with_capacity(n as usize);
-        let mut shared = Vec::with_capacity(n as usize);
-        let mut threads = Vec::with_capacity(n as usize + 1);
+        assert!((1..=MAX_WORKERS).contains(&workers), "1 to {MAX_WORKERS} server workers");
+        let shared: Vec<SharedServer> = engines.into_iter().map(|e| Arc::new(Mutex::new(e))).collect();
+        let inboxes: Vec<Arc<Mailbox<ServerMsg>>> = (0..workers).map(|_| Arc::new(Mailbox::new())).collect();
+        let mut threads = Vec::with_capacity(workers + 1);
         let epoch = Instant::now();
-        for engine in engines {
-            let id = engine.id;
-            let inbox = Arc::new(Mailbox::new());
-            let engine: SharedServer = Arc::new(Mutex::new(engine));
-            let (inbox2, engine2) = (Arc::clone(&inbox), Arc::clone(&engine));
+        for (w, inbox) in inboxes.iter().enumerate() {
+            let hosted = shared.iter().skip(w).step_by(workers).map(Arc::clone).collect();
+            let inbox = Arc::clone(inbox);
             threads.push(std::thread::Builder::new()
-                .name(format!("csar-iod-{id}"))
-                .spawn(move || run_server(id, inbox2, engine2, epoch))
-                .expect("spawn server thread"));
-            inboxes.push(inbox);
-            shared.push(engine);
+                .name(format!("csar-iod-w{w}"))
+                .spawn(move || run_worker(inbox, hosted, workers as u32, epoch))
+                .expect("spawn server worker"));
         }
         let mgr_inbox = Arc::new(Mailbox::new());
         let mgr_inbox2 = Arc::clone(&mgr_inbox);
@@ -192,7 +215,8 @@ impl Cluster {
                 dir.display()
             )));
         }
-        Ok(Self::spawn_engines(engines, Manager::import(metas)))
+        let workers = cpu_workers(engines.len() as u32);
+        Ok(Self::spawn_engines(engines, Manager::import(metas), workers))
     }
 
     /// Number of I/O servers.
@@ -266,11 +290,12 @@ impl Cluster {
         ring.iter().cloned().collect()
     }
 
-    /// Hold server `id`'s engine mutex, stalling its service loop at the
-    /// next dispatch until the guard is dropped. Tests use this to force
-    /// a [`CsarError::Timeout`] attributable to a specific slow server —
-    /// unlike [`Cluster::fail_server`], the server is *slow*, not down,
-    /// so clients keep waiting on it.
+    /// Hold server `id`'s engine mutex, stalling the worker that hosts
+    /// it at its next request for `id` until the guard is dropped; every
+    /// other server on that worker stalls with it. Tests use this to
+    /// force a [`CsarError::Timeout`] attributable to a specific slow
+    /// server — unlike [`Cluster::fail_server`], the server is *slow*,
+    /// not down, so clients keep waiting on it.
     pub fn hold_server(&self, id: ServerId) -> MutexGuard<'_, IoServer> {
         self.inner.shared[id as usize].lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -286,8 +311,8 @@ impl Cluster {
                 continue;
             }
             match client.handle().send_one(srv, Request::GetStats)? {
-                csar_core::proto::Response::Stats { snapshot } => merged.merge(&snapshot),
-                csar_core::proto::Response::Err(e) => return Err(e),
+                Response::Stats { snapshot } => merged.merge(&snapshot),
+                Response::Err(e) => return Err(e),
                 other => {
                     return Err(CsarError::Protocol(format!("expected Stats, got {other:?}")))
                 }
@@ -341,17 +366,12 @@ impl Cluster {
 
     /// The first failed server, if any.
     pub fn failed_server(&self) -> Option<ServerId> {
-        self.inner
-            .down
-            .iter()
-            .position(|d| d.load(Ordering::SeqCst))
-            .map(|i| i as u32)
+        self.inner.failed()
     }
 
     /// Inspect a server's engine (store, cache, lock stats) in place.
     pub fn with_server<R>(&self, id: ServerId, f: impl FnOnce(&IoServer) -> R) -> R {
-        let engine = self.inner.shared[id as usize].lock().unwrap_or_else(PoisonError::into_inner);
-        f(&engine)
+        f(&self.hold_server(id))
     }
 
     /// Offline rebuild: replace `failed` with a blank server and restore
@@ -403,35 +423,16 @@ impl Cluster {
                     .send_one(ly.mirror_server(b), Request::ReadMirror { hdr, spans: vec![span] })?
                     .into_payload()?,
                 _ => {
-                    // XOR of the group's surviving in-place blocks + parity.
+                    // XOR of the group's parity and surviving in-place blocks.
                     let g = ly.group_of_block(b);
-                    let mut acc: Option<Payload> = None;
+                    let read = Request::ParityRead { hdr, group: g, intra: 0, len };
+                    let mut acc = h.send_one(ly.parity_server(g), read)?.into_payload()?;
                     for other in ly.group_blocks(g).filter(|x| *x != b) {
-                        let ospan = Span { logical_off: other * unit, len };
-                        let p = h
-                            .send_one(
-                                ly.home_server(other),
-                                Request::ReadData { hdr, spans: vec![ospan] },
-                            )?
-                            .into_payload()?;
-                        match acc.as_mut() {
-                            None => acc = Some(p),
-                            Some(a) => a.xor_assign(&p),
-                        }
+                        let spans = vec![Span { logical_off: other * unit, len }];
+                        let p = h.send_one(ly.home_server(other), Request::ReadData { hdr, spans })?;
+                        acc.xor_assign(&p.into_payload()?);
                     }
-                    let parity = h
-                        .send_one(
-                            ly.parity_server(g),
-                            Request::ParityRead { hdr, group: g, intra: 0, len },
-                        )?
-                        .into_payload()?;
-                    match acc {
-                        None => parity,
-                        Some(mut a) => {
-                            a.xor_assign(&parity);
-                            a
-                        }
-                    }
+                    acc
                 }
             };
             h.send_one(
@@ -458,32 +459,14 @@ impl Cluster {
         }
 
         // --- lost parity blocks ----------------------------------------------
-        let mut acc = ParityAccumulator::new(unit as usize);
         for &g in &plan.parity_groups {
-            // Stream each surviving block's chunks straight into the
-            // reusable accumulator — no per-block flattening copies.
-            acc.reset_to(unit as usize);
-            let mut phantom = false;
+            // A phantom block makes the whole parity phantom.
+            let mut parity = Payload::zeros(unit as usize);
             for b in ly.group_blocks(g) {
-                let span = Span { logical_off: b * unit, len: unit };
-                let p = h
-                    .send_one(ly.home_server(b), Request::ReadData { hdr, spans: vec![span] })?
-                    .into_payload()?;
-                if !p.is_data() {
-                    phantom = true;
-                    continue;
-                }
-                let mut off = 0usize;
-                for c in p.chunks() {
-                    acc.fold_at(off, c);
-                    off += c.len();
-                }
+                let spans = vec![Span { logical_off: b * unit, len: unit }];
+                let p = h.send_one(ly.home_server(b), Request::ReadData { hdr, spans })?;
+                parity.xor_assign(&p.into_payload()?);
             }
-            let parity = if phantom {
-                Payload::Phantom(unit)
-            } else {
-                Payload::from_vec(acc.current().to_vec())
-            };
             h.send_one(
                 failed,
                 Request::WriteParity {
@@ -508,21 +491,17 @@ impl Cluster {
                 continue;
             }
             let entries = match h.send_one(src, Request::DumpOverflowTable { hdr, mirror: src_mirror })? {
-                csar_core::proto::Response::Table { entries } => entries,
-                csar_core::proto::Response::Err(e) => return Err(e),
+                Response::Table { entries } => entries,
+                Response::Err(e) => return Err(e),
                 other => return Err(CsarError::Protocol(format!("expected Table, got {other:?}"))),
             };
             for e in entries {
                 let span = Span { logical_off: e.logical_off, len: e.len };
-                let runs = match h.send_one(
-                    src,
-                    Request::OverflowFetch { hdr, spans: vec![span], mirror: src_mirror },
-                )? {
-                    csar_core::proto::Response::Runs { runs } => runs,
-                    csar_core::proto::Response::Err(e) => return Err(e),
-                    other => {
-                        return Err(CsarError::Protocol(format!("expected Runs, got {other:?}")))
-                    }
+                let fetch = Request::OverflowFetch { hdr, spans: vec![span], mirror: src_mirror };
+                let runs = match h.send_one(src, fetch)? {
+                    Response::Runs { runs } => runs,
+                    Response::Err(e) => return Err(e),
+                    other => return Err(CsarError::Protocol(format!("expected Runs, got {other:?}"))),
                 };
                 for (off, payload) in runs {
                     let span = Span { logical_off: off, len: payload.len() };
@@ -534,7 +513,7 @@ impl Cluster {
         Ok(())
     }
 
-    /// Stop all threads and join them.
+    /// Stop every worker and the manager thread, and join them.
     pub fn shutdown(self) {
         drop(self);
     }
@@ -564,13 +543,14 @@ impl Drop for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::File;
     use std::sync::Weak;
 
     #[test]
     fn dropping_a_cluster_without_shutdown_joins_every_thread() {
         let cluster = Cluster::spawn(3, ServerConfig::default());
         cluster.client().create("f", Scheme::Hybrid, 512).unwrap().write_at(0, &[1; 700]).unwrap();
-        // Every server thread holds its engine and its mailbox, and the
+        // Every server worker holds its engines and its mailbox, and the
         // manager thread its mailbox; the threads let go of them only
         // by exiting, so once `drop` returns none may be left alive.
         let inner = &cluster.inner;
@@ -578,8 +558,108 @@ mod tests {
         let inboxes: Vec<Weak<Mailbox<ServerMsg>>> = inner.inboxes.iter().map(Arc::downgrade).collect();
         let mgr = Arc::downgrade(&inner.mgr_inbox);
         drop(cluster);
-        assert!(engines.iter().all(|w| w.strong_count() == 0), "a server thread outlived the drop");
-        assert!(inboxes.iter().all(|w| w.strong_count() == 0), "a server thread outlived the drop");
+        assert!(engines.iter().all(|w| w.strong_count() == 0), "a server worker outlived the drop");
+        assert!(inboxes.iter().all(|w| w.strong_count() == 0), "a server worker outlived the drop");
         assert_eq!(mgr.strong_count(), 0, "the manager thread outlived the drop");
+    }
+
+    /// Everything the mixed script observed: final bytes of each file,
+    /// a degraded read of each, and the requests each op sent.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        bytes: Vec<Vec<u8>>,
+        degraded: Vec<Vec<u8>>,
+        requests: Vec<u64>,
+    }
+
+    /// RAID5 read-modify-write overwrites from 4 threads colliding on
+    /// §5.1 parity locks, Hybrid 4 KiB overwrites, whole-group writes
+    /// and degraded reads, on a 5-server cluster run by `workers`
+    /// server workers. Checks every parity group before returning.
+    fn mixed_script(workers: usize) -> Observed {
+        use csar_core::recovery::parity_consistent;
+        use csar_store::{SplitMix64, StreamKind};
+        const UNIT: u64 = 4096;
+        const REGION: usize = 64 * 1024;
+        let engines = (0..5).map(|id| IoServer::new(id, ServerConfig { fs_block: 512, ..ServerConfig::default() }));
+        let cluster = Cluster::spawn_engines(engines.collect(), Manager::new(), workers);
+        let client = cluster.client();
+        let mut rng = SplitMix64::new(7);
+        let fill = |rng: &mut SplitMix64, len: usize| {
+            let mut v = vec![0u8; len];
+            rng.fill_bytes(&mut v);
+            v
+        };
+        let mut requests = Vec::new();
+        let write = |f: &File, off: u64, data: &[u8]| {
+            let before = f.op_stats().requests;
+            f.write_at(off, data).expect("write");
+            f.op_stats().requests - before
+        };
+        let raid5 = client.create("raid5", Scheme::Raid5, UNIT).expect("create");
+        let hybrid = client.create("hybrid", Scheme::Hybrid, UNIT).expect("create");
+        let mut shadow = [fill(&mut rng, REGION), fill(&mut rng, REGION)];
+        for (f, bytes) in [&raid5, &hybrid].into_iter().zip(&shadow) {
+            for (g, group) in bytes.chunks(4 * UNIT as usize).enumerate() {
+                requests.push(write(f, g as u64 * 4 * UNIT, group));
+            }
+        }
+        // Four writers, each on its own 1 KiB of every block of the
+        // region, so each group's parity lock sees them all.
+        let rmw: Vec<Vec<u8>> = (0..4).map(|_| fill(&mut rng, REGION / 4)).collect();
+        let before = raid5.op_stats().requests;
+        std::thread::scope(|s| {
+            for (t, data) in rmw.iter().enumerate() {
+                let raid5 = &raid5;
+                s.spawn(move || {
+                    for (b, piece) in data.chunks(1024).enumerate() {
+                        raid5.write_at(b as u64 * UNIT + t as u64 * 1024, piece).expect("rmw write");
+                    }
+                });
+            }
+        });
+        requests.push(raid5.op_stats().requests - before);
+        for (t, data) in rmw.iter().enumerate() {
+            for (b, piece) in data.chunks(1024).enumerate() {
+                let at = b * UNIT as usize + t * 1024;
+                shadow[0][at..at + 1024].copy_from_slice(piece);
+            }
+        }
+        for _ in 0..24 {
+            let off = rng.gen_range(0..(REGION as u64 / UNIT)) * UNIT;
+            let data = fill(&mut rng, UNIT as usize);
+            requests.push(write(&hybrid, off, &data));
+            shadow[1][off as usize..][..UNIT as usize].copy_from_slice(&data);
+        }
+        let read = |f: &File| f.read_at(0, REGION as u64).expect("read");
+        let bytes: Vec<Vec<u8>> = [&raid5, &hybrid].map(read).into();
+        assert_eq!(bytes, shadow, "{workers} workers: read-back differs from what was written");
+        cluster.fail_server(2);
+        let degraded = [&raid5, &hybrid].map(read).into();
+        cluster.restore_server(2);
+        for f in [&raid5, &hybrid] {
+            let (meta, ly) = (f.meta(), f.meta().layout);
+            for g in 0..meta.size.div_ceil(ly.group_width_bytes()) {
+                let stream = |srv, kind, off| {
+                    let p = cluster.with_server(srv, |s| s.store().read(meta.fh, kind, off, UNIT));
+                    p.to_flat_vec().expect("real data")
+                };
+                let data: Vec<Vec<u8>> = ly
+                    .group_blocks(g)
+                    .map(|b| stream(ly.home_server(b), StreamKind::Data, ly.data_local_off(b, 0)))
+                    .collect();
+                let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+                let parity = stream(ly.parity_server(g), StreamKind::Parity, ly.parity_local_off(g, 0));
+                assert!(parity_consistent(&refs, &parity), "{workers} workers: {} group {g}", meta.name);
+            }
+        }
+        Observed { bytes, degraded, requests }
+    }
+
+    #[test]
+    fn one_worker_and_one_per_server_run_a_mixed_script_alike() {
+        let one = mixed_script(1);
+        assert_eq!(one.degraded, one.bytes, "a degraded read returns the written bytes");
+        assert_eq!(mixed_script(5), one);
     }
 }

@@ -1,7 +1,8 @@
 //! # csar-cluster — the live, in-process CSAR deployment
 //!
-//! Runs the `csar-core` engines as a real concurrent system: one OS
-//! thread per I/O server plus one for the metadata manager, connected by
+//! Runs the `csar-core` engines as a real concurrent system: one server
+//! worker thread per CPU (at most one per I/O server, each hosting its
+//! servers' engines) plus one for the metadata manager, connected by
 //! [`Mailbox`]es, a `Mutex<VecDeque>` plus a `Condvar` each (standing in
 //! for the TCP/Myrinet transport of the paper's testbeds). Clients get a
 //! blocking, PVFS-library-style API:

@@ -20,7 +20,6 @@ use crate::deploy::Cluster;
 use csar_core::proto::{ReqHeader, Request, Response, Scheme, ServerId};
 use csar_core::{CsarError, Span};
 use csar_obs::{Ctr, Hist};
-use csar_parity::ParityAccumulator;
 use csar_store::{Payload, StreamKind};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -175,7 +174,6 @@ impl Cluster {
             let hdr = ReqHeader::new(meta.fh, ly, meta.scheme);
             let h = client.handle();
             let groups = meta.size.div_ceil(ly.group_width_bytes());
-            let mut acc = ParityAccumulator::new(unit as usize);
             for g in 0..groups {
                 obs.inc(Ctr::CleanerGroupsScanned);
                 // 1. Ranged liveness + generation guards, per block copy.
@@ -246,21 +244,11 @@ impl Cluster {
                 }
                 // Fresh parity over the zero-extended group (a tail
                 // group's missing bytes read as zeros, so folding only
-                // the live spans is exact).
-                let parity = if latest.is_data() {
-                    acc.reset_to(unit as usize);
-                    for s in ly.spans(go, rlen) {
-                        let sl = latest.slice(s.logical_off - go, s.len);
-                        let mut off = (s.logical_off % unit) as usize;
-                        for c in sl.chunks() {
-                            acc.fold_at(off, c);
-                            off += c.len();
-                        }
-                    }
-                    Payload::from_vec(acc.current().to_vec())
-                } else {
-                    Payload::Phantom(unit)
-                };
+                // the live spans is exact); phantom data makes it phantom.
+                let mut parity = Payload::zeros(unit as usize);
+                for s in ly.spans(go, rlen) {
+                    parity.xor_at(s.logical_off % unit, &latest.slice(s.logical_off - go, s.len));
+                }
                 h.send_one(
                     ly.parity_server(g),
                     Request::ParityWriteUnlock { hdr, group: g, intra: 0, payload: parity },
@@ -333,50 +321,18 @@ impl Cluster {
                     }
                 }
                 s if s.uses_parity() => {
-                    let groups = meta.size.div_ceil(ly.group_width_bytes());
-                    // One reusable accumulator for the whole file: fold
-                    // each block's chunks in place instead of copying
-                    // every group member into a fresh Vec.
-                    let mut acc = ParityAccumulator::new(unit as usize);
-                    for g in 0..groups {
-                        acc.reset_to(unit as usize);
-                        let mut ok = true;
+                    let read = |srv, kind, off| self.with_server(srv, |s| s.store().read(meta.fh, kind, off, unit));
+                    for g in 0..meta.size.div_ceil(ly.group_width_bytes()) {
+                        let mut expected = Payload::zeros(unit as usize);
                         for b in ly.group_blocks(g) {
-                            let p = self.with_server(ly.home_server(b), |srv| {
-                                srv.store().read(meta.fh, StreamKind::Data, ly.data_local_off(b, 0), unit)
-                            });
-                            if !p.is_data() {
-                                ok = false; // phantom data: cannot scrub
-                                break;
-                            }
-                            let mut off = 0usize;
-                            for c in p.chunks() {
-                                acc.fold_at(off, c);
-                                off += c.len();
-                            }
+                            expected.xor_assign(&read(ly.home_server(b), StreamKind::Data, ly.data_local_off(b, 0)));
                         }
-                        if !ok {
-                            continue;
-                        }
-                        let parity = self.with_server(ly.parity_server(g), |srv| {
-                            srv.store().read(meta.fh, StreamKind::Parity, ly.parity_local_off(g, 0), unit)
-                        });
-                        if !parity.is_data() {
-                            continue;
+                        let parity = read(ly.parity_server(g), StreamKind::Parity, ly.parity_local_off(g, 0));
+                        if !expected.is_data() || !parity.is_data() {
+                            continue; // phantom data: cannot scrub
                         }
                         report.groups_checked += 1;
-                        let mut off = 0usize;
-                        let mut matches = parity.len() == unit;
-                        for c in parity.chunks() {
-                            if !matches {
-                                break;
-                            }
-                            if acc.current()[off..off + c.len()] != c[..] {
-                                matches = false;
-                            }
-                            off += c.len();
-                        }
-                        if !matches {
+                        if expected != parity {
                             report.bad_groups.push((meta.name.clone(), g));
                         }
                     }

@@ -1,4 +1,4 @@
-//! Server and manager threads.
+//! Server workers and the manager thread.
 
 use crate::transport::{Mailbox, MgrMsg, ReplySender, ReplyTrace, ServerMsg};
 use csar_core::manager::Manager;
@@ -10,11 +10,11 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-/// Shared observer handle onto one server thread's engine state.
+/// Shared observer handle onto one server's engine.
 ///
-/// The engine itself lives on the thread; snapshots of the store and
-/// stats are taken under a mutex so tests and the storage-report path
-/// can inspect them without stopping the cluster.
+/// The engine is served by the worker that hosts it; snapshots of the
+/// store and stats are taken under a mutex so tests and the
+/// storage-report path can inspect them without stopping the cluster.
 pub(crate) type SharedServer = Arc<Mutex<IoServer>>;
 
 /// Nanoseconds of `t` relative to the cluster epoch. All cluster
@@ -24,114 +24,103 @@ fn ns_since(epoch: Instant, t: Instant) -> u64 {
     t.saturating_duration_since(epoch).as_nanos() as u64
 }
 
-/// Run one I/O server thread until `Shutdown`.
+/// A request in flight at a server, as its worker keys it.
+type ReqKey = (ServerId, u32, u64);
+
+/// Run one server worker until `Shutdown`. Worker `w` hosts servers
+/// `w, w + workers, …`, so server `s` is `engines[s / workers]`. The
+/// servers share the worker's mailbox but nothing else: each has its
+/// own engine, and its requests arrive in the order they were sent.
 ///
 /// Requests whose handling is deferred by the parity lock produce their
-/// reply later (when the unlocking write arrives); the thread keeps the
-/// reply mailbox of every in-flight request keyed by `(client, req_id)`.
+/// reply later (when the unlocking write arrives); the worker keeps the
+/// reply mailbox of every in-flight request keyed by `(server, client,
+/// req_id)`.
 ///
-/// When tracing is enabled on the engine's registry, the thread times
-/// each request's queue wait (arrival to dispatch) and service (the
-/// `handle_at` call) and piggybacks the spans — plus any §5.1
+/// When tracing is enabled on an engine's registry, the worker times
+/// each traced request's queue wait (arrival to dispatch) and service
+/// (the `handle_at` call) and piggybacks the spans — plus any §5.1
 /// `lock_wait` span the engine attached to a woken reply — on the reply
-/// tuple. The executor owns the clock: the engine state machine itself
-/// never reads time, it only receives `now_ns` (so the sim can replay
-/// the same state machine under a virtual clock).
-pub(crate) fn run_server(
-    id: ServerId,
+/// tuple; untraced, it reads no clock. The executor owns the clock: the
+/// engine state machine itself never reads time, it only receives
+/// `now_ns` (so the sim can replay the same state machine under a
+/// virtual clock).
+pub(crate) fn run_worker(
     inbox: Arc<Mailbox<ServerMsg>>,
-    shared: SharedServer,
+    engines: Vec<SharedServer>,
+    workers: u32,
     epoch: Instant,
 ) {
-    debug_assert_eq!(shared.lock().unwrap_or_else(PoisonError::into_inner).id, id);
-    let mut pending: HashMap<(u32, u64), ReplySender> = HashMap::new();
+    let mut pending: HashMap<ReqKey, ReplySender> = HashMap::new();
     // Queue-wait spans of requests parked on a parity lock: computed at
     // their dispatch, attached when the unlocking write finally produces
     // their reply.
-    let mut held_spans: HashMap<(u32, u64), TraceSpan> = HashMap::new();
+    let mut held_spans: HashMap<ReqKey, TraceSpan> = HashMap::new();
     // Before each dispatch the loop moves everything in the mailbox into
     // a local backlog under one lock (waiting only when the backlog is
-    // empty); the backlog's depth is what the queue-depth gauge reports.
-    // Each entry keeps the time it was taken for the `srv_queue` trace
-    // phase.
+    // empty); the backlog's depth, over every server this worker hosts,
+    // is what the queue-depth gauge reports. When a message taken
+    // carries a trace context, each entry keeps the time it was taken
+    // for the `srv_queue` trace phase.
     let mut taken: VecDeque<ServerMsg> = VecDeque::new();
-    let mut backlog: VecDeque<(ServerMsg, Instant)> = VecDeque::new();
-    'serve: loop {
+    let mut backlog: VecDeque<(ServerMsg, Option<Instant>)> = VecDeque::new();
+    loop {
         inbox.drain_into(backlog.is_empty(), &mut taken);
-        let now = Instant::now();
+        let traced_msg = |m: &ServerMsg| matches!(m, ServerMsg::Req { req, .. } if req.trace_ctx().is_some());
+        let now = taken.iter().any(traced_msg).then(Instant::now);
         backlog.extend(taken.drain(..).map(|msg| (msg, now)));
-        let Some((msg, arrived_at)) = backlog.pop_front() else { break };
-        match msg {
-            ServerMsg::Req { from, req_id, req, reply_to } => {
-                pending.insert((from, req_id), reply_to);
-                let ctx = req.trace_ctx();
-                let dispatch_ns = ns_since(epoch, Instant::now());
-                let (effects, traced) = {
-                    // A panicked observer cannot corrupt the engine, so a
-                    // poisoned lock is recovered rather than propagated.
-                    let mut engine = shared.lock().unwrap_or_else(PoisonError::into_inner);
-                    // Backlog plus the request in service.
-                    engine.obs.gauge_set(Gauge::SrvQueueDepth, backlog.len() as u64 + 1);
-                    let traced = engine.obs.tracing_enabled();
-                    let effects = engine.handle_at(from, req_id, req, dispatch_ns);
-                    (effects, traced)
-                };
-                let done_ns = ns_since(epoch, Instant::now());
-                let arrived_ns = ns_since(epoch, arrived_at);
-                let queue_span = ctx
-                    .filter(|_| traced)
-                    .map(|c| TraceSpan::server(c, Phase::SrvQueue, arrived_ns, dispatch_ns, id));
-                let mut replied_current = false;
-                let mut recorded: Vec<TraceSpan> = Vec::new();
-                for e in effects {
-                    let Effect::Reply { to, req_id: rid, resp, trace, lock_wait, .. } = e;
-                    let Some(tx) = pending.remove(&(to, rid)) else { continue };
-                    let batch: ReplyTrace = if traced {
-                        let mut spans: Vec<TraceSpan> = Vec::with_capacity(3);
-                        if to == from && rid == req_id {
-                            replied_current = true;
-                            spans.extend(queue_span);
-                        } else {
-                            // A parked request woken by this unlock; its
-                            // own queue wait was stamped at its dispatch.
-                            spans.extend(held_spans.remove(&(to, rid)));
-                        }
-                        if let Some(c) = trace {
-                            // Service time: for a woken waiter this is the
-                            // slice of the unlocking dispatch that served
-                            // its deferred read.
-                            spans.push(TraceSpan::server(c, Phase::Service, dispatch_ns, done_ns, id));
-                        }
-                        // `lock_wait` was already recorded into the engine's
-                        // ring by `handle_at`; it only needs piggybacking.
-                        recorded.extend_from_slice(&spans);
-                        spans.extend(lock_wait);
-                        if spans.is_empty() { None } else { Some(spans.into_boxed_slice()) }
-                    } else {
-                        None
-                    };
-                    // An op that already ended drops the reply with
-                    // its last handle.
-                    tx.push((rid, resp, batch));
-                }
-                if traced && !replied_current {
-                    // Parked on the parity lock: keep the queue-wait span
-                    // until the wake produces the reply.
-                    if let Some(s) = queue_span {
-                        held_spans.insert((from, req_id), s);
-                        recorded.push(s);
-                    }
-                }
-                if !recorded.is_empty() {
-                    // Mirror the piggybacked spans into this server's own
-                    // trace ring so a `GetStats` scrape sees them too.
-                    let engine = shared.lock().unwrap_or_else(PoisonError::into_inner);
-                    for s in &recorded {
-                        engine.obs.record_trace(s);
-                    }
-                }
+        let Some((ServerMsg::Req { srv, from, req_id, req, reply_to }, arrived_at)) = backlog.pop_front()
+        else {
+            break; // `Shutdown`
+        };
+        pending.insert((srv, from, req_id), reply_to);
+        let ctx = req.trace_ctx();
+        // A panicked observer cannot corrupt the engine, so a poisoned
+        // lock is recovered rather than propagated.
+        let mut engine = engines[(srv / workers) as usize].lock().unwrap_or_else(PoisonError::into_inner);
+        debug_assert_eq!(engine.id, srv);
+        // Backlog plus the request in service.
+        engine.obs.gauge_set(Gauge::SrvQueueDepth, backlog.len() as u64 + 1);
+        let traced = engine.obs.tracing_enabled();
+        let dispatch_ns = if traced { ns_since(epoch, Instant::now()) } else { 0 };
+        let effects = engine.handle_at(from, req_id, req, dispatch_ns);
+        let done_ns = if traced { ns_since(epoch, Instant::now()) } else { 0 };
+        let queue_span = ctx.zip(arrived_at).filter(|_| traced).map(|(c, at)| {
+            TraceSpan::server(c, Phase::SrvQueue, ns_since(epoch, at), dispatch_ns, srv)
+        });
+        let mut replied_current = false;
+        for Effect::Reply { to, req_id: rid, resp, trace, lock_wait, .. } in effects {
+            // An op that already ended drops the reply with its last
+            // handle.
+            let Some(tx) = pending.remove(&(srv, to, rid)) else { continue };
+            let mut spans: Vec<TraceSpan> = Vec::new();
+            if to == from && rid == req_id {
+                replied_current = true;
+                spans.extend(queue_span);
+            } else if traced {
+                // A parked request woken by this unlock; its own queue
+                // wait was stamped at its dispatch.
+                spans.extend(held_spans.remove(&(srv, to, rid)));
             }
-            ServerMsg::Shutdown => break 'serve,
+            if let Some(c) = trace.filter(|_| traced) {
+                // Service time: for a woken waiter this is the slice of
+                // the unlocking dispatch that served its deferred read.
+                spans.push(TraceSpan::server(c, Phase::Service, dispatch_ns, done_ns, srv));
+            }
+            // Mirror the spans into this server's own trace ring so a
+            // `GetStats` scrape sees them too; `lock_wait` is already
+            // there (`handle_at` recorded it) and only needs
+            // piggybacking.
+            spans.iter().for_each(|s| engine.obs.record_trace(s));
+            spans.extend(lock_wait.filter(|_| traced));
+            let batch: ReplyTrace = (!spans.is_empty()).then(|| spans.into_boxed_slice());
+            tx.push((rid, resp, batch));
+        }
+        if let Some(s) = queue_span.filter(|_| !replied_current) {
+            // Parked on the parity lock: keep the queue-wait span until
+            // the wake produces the reply.
+            held_spans.insert((srv, from, req_id), s);
+            engine.obs.record_trace(&s);
         }
     }
 }

@@ -1,16 +1,22 @@
 //! The transport between clients and nodes: one mailbox type.
 
 use csar_core::manager::{MgrRequest, MgrResponse};
-use csar_core::proto::{ClientId, Request, Response};
+use csar_core::proto::{ClientId, Request, Response, ServerId};
 use csar_obs::trace::TraceSpan;
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A many-producer, one-consumer queue: a `Mutex<VecDeque>` plus a
 /// `Condvar`. Every channel of the live cluster is one of these: each
-/// server's and the manager's request queue, and each operation's reply
-/// queue.
+/// server worker's and the manager's request queue, and each
+/// operation's reply queue.
+///
+/// A producer wakes the consumer only when it is blocked waiting (the
+/// waiter count kept under the lock), so a message to a consumer that
+/// is still running costs no wake-up. [`Mailbox::queue`] appends
+/// without waking at all; a producer that queues several messages rings
+/// once with [`Mailbox::ring`] when it is done.
 ///
 /// A consumer stops on an explicit last message (`ServerMsg::Shutdown`,
 /// `MgrMsg::Shutdown`), which [`Mailbox::close_with`] queues and closes
@@ -24,15 +30,21 @@ pub struct Mailbox<T> {
     ready: Condvar,
 }
 
-/// The messages of a [`Mailbox`] and whether it still takes new ones.
+/// The messages of a [`Mailbox`], whether it still takes new ones, and
+/// whether its consumer is blocked with no wake-up on its way.
 struct Queue<T> {
     msgs: VecDeque<T>,
     closed: bool,
+    /// The waiter count: one consumer, so 0 or 1. A producer that wakes
+    /// the consumer clears it, so later producers skip the wake-up the
+    /// consumer already has coming.
+    waiting: bool,
 }
 
 impl<T> Default for Mailbox<T> {
     fn default() -> Self {
-        Self { queue: Mutex::new(Queue { msgs: VecDeque::new(), closed: false }), ready: Condvar::new() }
+        let queue = Queue { msgs: VecDeque::new(), closed: false, waiting: false };
+        Self { queue: Mutex::new(queue), ready: Condvar::new() }
     }
 }
 
@@ -48,31 +60,66 @@ impl<T> Mailbox<T> {
         self.queue.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Append `msg` and wake the consumer, or return `false` (dropping
-    /// `msg`) if the mailbox is closed. The wake-up comes after the lock
-    /// is released, so the woken thread does not block on it.
+    /// Append `msg` and wake the consumer if it is waiting, or return
+    /// `false` (dropping `msg`) if the mailbox is closed.
     pub fn push(&self, msg: T) -> bool {
-        self.push_then(msg, false)
+        self.append(msg, false, true)
+    }
+
+    /// Append `msg` without waking the consumer, or return `false`
+    /// (dropping `msg`) if the mailbox is closed. A blocked consumer
+    /// sees it only after the next [`Mailbox::ring`] or `push`.
+    pub fn queue(&self, msg: T) -> bool {
+        self.append(msg, false, false)
+    }
+
+    /// Wake the consumer if it is waiting and a message is queued.
+    pub fn ring(&self) {
+        let wake = {
+            let mut queue = self.lock();
+            !queue.msgs.is_empty() && std::mem::take(&mut queue.waiting)
+        };
+        if wake {
+            self.ready.notify_one();
+        }
     }
 
     /// Append `last` and close the mailbox under the same lock, so no
     /// message can be queued behind it. Returns `false` (dropping
     /// `last`) if the mailbox was already closed.
     pub fn close_with(&self, last: T) -> bool {
-        self.push_then(last, true)
+        self.append(last, true, true)
     }
 
-    fn push_then(&self, msg: T, close: bool) -> bool {
-        {
+    /// The wake-up comes after the lock is released, so the woken
+    /// thread does not block on it.
+    fn append(&self, msg: T, close: bool, wake: bool) -> bool {
+        let wake = {
             let mut queue = self.lock();
             if queue.closed {
                 return false;
             }
             queue.msgs.push_back(msg);
             queue.closed = close;
+            wake && std::mem::take(&mut queue.waiting)
+        };
+        if wake {
+            self.ready.notify_one();
         }
-        self.ready.notify_one();
         true
+    }
+
+    /// Block on the condvar once (for at most `left`, if given),
+    /// counted as the waiter while blocked.
+    fn wait<'a>(&self, mut queue: MutexGuard<'a, Queue<T>>, left: Option<Duration>) -> MutexGuard<'a, Queue<T>> {
+        debug_assert!(!queue.waiting, "a mailbox has one consumer");
+        queue.waiting = true;
+        let mut queue = match left {
+            None => self.ready.wait(queue).unwrap_or_else(PoisonError::into_inner),
+            Some(left) => self.ready.wait_timeout(queue, left).unwrap_or_else(PoisonError::into_inner).0,
+        };
+        queue.waiting = false;
+        queue
     }
 
     /// The oldest message, waiting for one until `deadline` (`None`:
@@ -84,13 +131,11 @@ impl<T> Mailbox<T> {
             if let Some(msg) = queue.msgs.pop_front() {
                 return Some(msg);
             }
-            queue = match deadline {
-                None => self.ready.wait(queue).unwrap_or_else(PoisonError::into_inner),
-                Some(at) => {
-                    let left = at.checked_duration_since(Instant::now()).filter(|d| !d.is_zero())?;
-                    self.ready.wait_timeout(queue, left).unwrap_or_else(PoisonError::into_inner).0
-                }
+            let left = match deadline {
+                None => None,
+                Some(at) => Some(at.checked_duration_since(Instant::now()).filter(|d| !d.is_zero())?),
             };
+            queue = self.wait(queue, left);
         }
     }
 
@@ -99,7 +144,7 @@ impl<T> Mailbox<T> {
     pub fn drain_into(&self, wait: bool, out: &mut VecDeque<T>) {
         let mut queue = self.lock();
         while wait && queue.msgs.is_empty() {
-            queue = self.ready.wait(queue).unwrap_or_else(PoisonError::into_inner);
+            queue = self.wait(queue, None);
         }
         out.append(&mut queue.msgs);
     }
@@ -114,18 +159,19 @@ pub(crate) type ReplyTrace = Option<Box<[TraceSpan]>>;
 /// operation owns one; every request it sends carries a handle.
 pub(crate) type ReplySender = Arc<Mailbox<(u64, Response, ReplyTrace)>>;
 
-/// A message to an I/O server thread.
+/// A message to a server worker.
 pub(crate) enum ServerMsg {
-    /// A client request; the reply goes back through `reply_to` tagged
-    /// with `req_id`. The server thread retains `reply_to` for requests
-    /// parked on a parity lock.
+    /// A client request to server `srv`; the reply goes back through
+    /// `reply_to` tagged with `req_id`. The worker retains `reply_to`
+    /// for requests parked on a parity lock.
     Req {
+        srv: ServerId,
         from: ClientId,
         req_id: u64,
         req: Request,
         reply_to: ReplySender,
     },
-    /// Stop the thread.
+    /// Stop the worker.
     Shutdown,
 }
 
@@ -138,7 +184,6 @@ pub(crate) enum MgrMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn pop_with_a_past_deadline_returns_at_once() {
@@ -210,5 +255,71 @@ mod tests {
             }
         });
         assert_eq!(out, [1, 2, 3]);
+    }
+
+    #[test]
+    fn a_queued_message_is_delivered_once_rung() {
+        let mb: Mailbox<u32> = Mailbox::new();
+        std::thread::scope(|s| {
+            let consumer = s.spawn(|| mb.pop(None));
+            while !mb.lock().waiting {
+                std::thread::yield_now();
+            }
+            assert!(mb.queue(1));
+            std::thread::sleep(Duration::from_millis(20));
+            assert!(!consumer.is_finished(), "an unrung message must not wake the consumer");
+            assert!(mb.lock().waiting, "the consumer is still owed a wake-up");
+            mb.ring();
+            assert_eq!(consumer.join().expect("consumer"), Some(1));
+        });
+        assert!(!mb.lock().waiting);
+    }
+
+    #[test]
+    fn a_consumer_blocked_in_drain_into_wakes_on_the_ring() {
+        let mb: Mailbox<u32> = Mailbox::new();
+        std::thread::scope(|s| {
+            let consumer = s.spawn(|| {
+                let mut out = VecDeque::new();
+                mb.drain_into(true, &mut out);
+                out
+            });
+            while !mb.lock().waiting {
+                std::thread::yield_now();
+            }
+            assert!(mb.queue(1) && mb.queue(2));
+            mb.ring();
+            assert_eq!(consumer.join().expect("consumer"), [1, 2]);
+        });
+    }
+
+    #[test]
+    fn ringing_an_idle_mailbox_loses_nothing() {
+        let mb: Mailbox<u32> = Mailbox::new();
+        mb.ring();
+        assert!(mb.queue(1));
+        mb.ring();
+        mb.ring();
+        assert!(mb.push(2));
+        assert_eq!(mb.pop(Some(Instant::now())), Some(1));
+        assert_eq!(mb.pop(Some(Instant::now())), Some(2));
+        // A ring with a waiting consumer but nothing queued leaves the
+        // consumer waiting for the next message.
+        std::thread::scope(|s| {
+            let consumer = s.spawn(|| mb.pop(None));
+            while !mb.lock().waiting {
+                std::thread::yield_now();
+            }
+            mb.ring();
+            assert!(mb.push(3));
+            assert_eq!(consumer.join().expect("consumer"), Some(3));
+        });
+    }
+
+    #[test]
+    fn a_timed_out_pop_leaves_no_waiter() {
+        let mb: Mailbox<u32> = Mailbox::new();
+        assert_eq!(mb.pop(Some(Instant::now() + Duration::from_millis(5))), None);
+        assert!(!mb.lock().waiting, "a timed-out consumer is no longer waiting");
     }
 }

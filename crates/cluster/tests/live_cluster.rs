@@ -815,6 +815,28 @@ fn retried_read_traces_both_attempts_as_siblings() {
 }
 
 #[test]
+fn the_next_op_after_a_timeout_succeeds() {
+    // The timed-out request is still answered once the server is
+    // released. That late reply must not reach the next op on the same
+    // file, which would take it for a reply to a request it never sent.
+    let unit = 512u64;
+    let cluster = Cluster::spawn(4, cfg());
+    cluster.set_transport_config(csar_cluster::TransportConfig {
+        reply_timeout: Duration::from_millis(50),
+        retries: 0,
+        ..Default::default()
+    });
+    let f = cluster.client().create("late", Scheme::Raid5, unit).unwrap();
+    let data = pattern(3 * unit as usize, 43);
+    f.write_at(0, &data).unwrap();
+    let guard = cluster.hold_server(f.meta().layout.home_server(0));
+    assert!(matches!(f.read_at(0, unit), Err(CsarError::Timeout { .. })));
+    drop(guard);
+    assert_eq!(f.read_at(0, 3 * unit).unwrap(), data);
+    cluster.shutdown();
+}
+
+#[test]
 fn forced_timeout_auto_dumps_flight_recorder_naming_slow_server() {
     // Acceptance: with retries disabled, an op stalled on a held (slow,
     // not down) server dies with CsarError::Timeout — and the flight

@@ -176,7 +176,8 @@ pub struct OpEngine {
     spans: Vec<TraceSpan>,
     sq: VecDeque<Queued>,
     inflight: HashMap<u64, Attempt>,
-    /// Request IDs abandoned by a retry; their late replies are dropped.
+    /// Request IDs abandoned by a retry or a timeout; their late replies
+    /// are dropped.
     superseded: HashSet<u64>,
     /// Barrier-compat: replies held until the wave drains (arrival,
     /// token, reply).
@@ -283,6 +284,7 @@ impl OpEngine {
             // shows up as a sibling attempt next to it.
             self.close(ex, a.span, self.root, Phase::Timeout, a.sent, a.srv as u64);
             let Some(req) = a.retry else {
+                self.superseded.insert(req_id);
                 ex.note(Note::TimedOut);
                 let waited_ms = (now - a.first_sent) / 1_000_000;
                 return Some(Err(CsarError::Timeout { server: a.srv, waited_ms }));
@@ -293,6 +295,13 @@ impl OpEngine {
             self.transmit(a.token, a.srv, req, a.first_sent, a.attempt + 1, ex);
         }
         self.settle(ex)
+    }
+
+    /// Nothing in flight and no abandoned attempt: no reply to the op
+    /// just finished can still arrive, so an executor may reuse this
+    /// op's reply channel for the next.
+    pub fn quiet(&self) -> bool {
+        self.inflight.is_empty() && self.superseded.is_empty()
     }
 
     /// The earliest deadline in flight, `None` if nothing can expire.

@@ -4,9 +4,9 @@ use crate::kernels::xor_into;
 
 /// Accumulates the XOR of a sequence of equal-length blocks.
 ///
-/// Used by the overflow cleaner, rebuild and scrub when they recompute a
-/// group's parity from its data blocks: blocks are folded in as they
-/// arrive, without materialising the whole group twice.
+/// Blocks are folded in as they arrive, without materialising the
+/// whole group twice. The benchmark's `parity.fold_us_per_group` layer
+/// and the cost ledger's fold audit time it.
 ///
 /// ```
 /// use csar_parity::ParityAccumulator;

@@ -7,6 +7,15 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
+# The live cluster runs one server worker per CPU it may use; pinned to
+# one CPU (as the benchmark pins itself), every server shares a single
+# worker. Run the cluster's tests in that deployment too.
+if command -v taskset > /dev/null; then
+    taskset -c 0 cargo test -q -p csar-cluster
+    echo "tier1: csar-cluster tests pinned to one CPU (one server worker): ok"
+else
+    echo "tier1: taskset not found; skipping the one-worker csar-cluster test run"
+fi
 # Lint gate: clippy on every crate and target, warnings are errors.
 cargo clippy -q --workspace --all-targets -- -D warnings
 # The opt-in microbenchmarks need the bench-ext feature, so the step
