@@ -11,7 +11,9 @@
 use crate::deploy::Inner;
 use crate::transport::{Mailbox, MgrMsg, ReplySender, ServerMsg};
 use csar_core::client::engine::{EngineConfig, Executor, Note, OpEngine};
-use csar_core::client::{Completion, Effect, OpDriver, OpOutput, ReadDriver, Token, WriteDriver};
+use csar_core::client::maintain::{Scrub, ScrubReport};
+use csar_core::client::waves::{Wave, WaveTask, Waves};
+use csar_core::client::{Effect, OpDriver, OpOutput, ReadDriver, Token, WriteDriver};
 use csar_core::manager::{FileMeta, MgrRequest, MgrResponse};
 use csar_core::proto::{ClientId, ReqHeader, Request, Response, Scheme, ServerId};
 use csar_core::{CsarError, Layout};
@@ -132,50 +134,10 @@ impl Executor for Wire<'_> {
             Note::TimedOut => (Ctr::EngTimeouts, 1),
             Note::Abandoned(n) => (Ctr::EngAbandoned, n),
             Note::Count(ctr, n) => return obs.add(ctr, n),
+            Note::Observe(hist, ns) => return obs.observe(hist, ns),
         };
         obs.add(ended, n);
         obs.gauge_sub(Gauge::EngInFlight, n);
-    }
-}
-
-/// A raw request batch as a driver: everything is issued at `Begin`,
-/// and the op is done once every reply is in its request's slot (the
-/// caller reads the slots; the op's output value is not used). A reply
-/// for an unknown or already filled slot fails the op. After `Done` the
-/// driver is inert.
-struct Batch {
-    reqs: Vec<(ServerId, Request)>,
-    slots: Vec<Option<Response>>,
-    done: bool,
-}
-
-impl OpDriver for Batch {
-    fn poll(&mut self, c: Completion) -> Vec<Effect> {
-        let mut effects: Vec<Effect> = Vec::new(); // alloc-ok: empty, no heap
-        if self.done {
-            return effects;
-        }
-        match c {
-            Completion::Begin => {
-                let sends = self.reqs.drain(..).enumerate();
-                effects.extend(sends.map(|(i, (srv, req))| Effect::Send { token: i as Token, srv, req }));
-            }
-            Completion::Reply { token, resp } => match self.slots.get_mut(token as usize) {
-                Some(slot @ None) => *slot = Some(resp),
-                _ => {
-                    self.done = true;
-                    let e = format!("unknown or duplicate reply for batch slot {token}");
-                    effects.push(Effect::Done(Err(CsarError::Transport(e))));
-                    return effects;
-                }
-            },
-            Completion::ComputeDone { .. } => {}
-        }
-        if self.slots.iter().all(Option::is_some) {
-            self.done = true;
-            effects.push(Effect::Done(Ok(OpOutput::Written { bytes: 0 })));
-        }
-        effects
     }
 }
 
@@ -263,27 +225,24 @@ impl Handle {
         res.map(|out| (out, stats))
     }
 
-    /// Send a batch of requests and gather replies in request order.
-    /// Requests to failed servers are answered with `ServerDown` locally.
-    /// Raw batches (stats scrapes, maintenance, rebuild) are not traced.
-    pub(crate) fn send_batch(
-        &self,
-        batch: Vec<(ServerId, Request)>,
-    ) -> Result<Vec<Response>, CsarError> {
-        let slots = batch.iter().map(|_| None).collect();
-        let mut d = Batch { reqs: batch, slots, done: false };
-        self.run_op(&mut d, false)?;
-        d.slots
-            .into_iter()
-            .map(|s| s.ok_or_else(|| CsarError::Transport("batch reply slot unfilled".into())))
-            .collect()
+    /// Run `task` to its end as one untraced op and hand it back,
+    /// results and all. Requests to failed servers are answered with
+    /// `ServerDown` locally.
+    pub(crate) fn run_task<T: WaveTask>(&self, task: T) -> Result<T, CsarError> {
+        let mut driver = Waves::new(task);
+        self.run_op(&mut driver, false)?;
+        Ok(driver.task)
     }
 
-    /// Send one request and return its reply.
-    pub(crate) fn send_one(&self, srv: ServerId, req: Request) -> Result<Response, CsarError> {
-        self.send_batch(vec![(srv, req)])?
-            .pop()
-            .ok_or_else(|| CsarError::Transport("empty batch reply".into()))
+    /// Send `reqs` as one wave; their replies in request order.
+    pub(crate) fn send_wave(&self, reqs: Wave) -> Result<Vec<Response>, CsarError> {
+        let (mut reqs, mut replies) = (Some(reqs), Vec::new()); // alloc-ok: empty, no heap; raw batches are cold
+        let task = |got: Vec<Response>, _: &mut Vec<Effect>| {
+            replies = got;
+            Ok(reqs.take().unwrap_or_default())
+        };
+        self.run_op(&mut Waves::new(task), false)?;
+        Ok(replies)
     }
 
     /// A manager round trip, counted in [`Ctr::MgrRequests`]. A reply
@@ -351,7 +310,8 @@ impl ClusterClient {
     /// for tooling, fault injection and tests. Normal I/O should use
     /// [`File`].
     pub fn send_raw(&self, srv: ServerId, req: Request) -> Result<Response, CsarError> {
-        self.handle.send_one(srv, req)
+        let reply = self.handle.send_wave(vec![(srv, req)])?.pop();
+        reply.ok_or_else(|| CsarError::Transport("raw request without a reply".into()))
     }
 
     /// Remove a file's metadata (its server-side storage is left to the
@@ -417,11 +377,11 @@ impl File {
         self.stats.lock().unwrap_or_else(PoisonError::into_inner).merge(stats);
     }
 
-    /// Send the request `req` builds for this file to every server in
-    /// turn; the replies in server order.
+    /// Send the request `req` builds for this file to every server, as
+    /// one wave; the replies in server order.
     fn on_every_server(&self, req: impl Fn(ReqHeader) -> Request) -> Result<Vec<Response>, CsarError> {
         let hdr = ReqHeader::new(self.meta.fh, self.meta.layout, self.meta.scheme);
-        (0..self.handle.servers()).map(|srv| self.handle.send_one(srv, req(hdr))).collect()
+        self.handle.send_wave((0..self.handle.servers()).map(|srv| (srv, req(hdr))).collect())
     }
 
     /// Write `data` at `off`.
@@ -497,12 +457,16 @@ impl File {
     /// Per-server storage usage for this file (paper Table 2).
     pub fn storage_report(&self) -> Result<StorageReport, CsarError> {
         let replies = self.on_every_server(|hdr| Request::GetUsage { hdr })?;
-        let usage = replies.into_iter().map(|resp| match resp {
-            Response::Usage { usage } => Ok(usage),
-            Response::Err(e) => Err(e),
-            other => Err(CsarError::Protocol(format!("expected Usage, got {other:?}"))),
-        });
-        Ok(StorageReport::new(usage.collect::<Result<_, _>>()?))
+        Ok(StorageReport::new(replies.into_iter().map(Response::into_usage).collect::<Result<_, _>>()?))
+    }
+
+    /// Verify this file's parity groups and mirror blocks up to its size
+    /// against its data, around a failed server (see
+    /// [`csar_core::client::maintain::Scrub`]). No one may be writing the
+    /// file meanwhile.
+    pub fn scrub(&self) -> Result<ScrubReport, CsarError> {
+        let scrub = Scrub::new(vec![self.meta()], self.handle.inner.failed());
+        Ok(self.handle.run_task(scrub)?.report)
     }
 
     /// Drop this file from every server's page-cache model (the paper's

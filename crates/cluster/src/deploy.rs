@@ -3,15 +3,14 @@
 use crate::client::{ClusterClient, Handle, TransportConfig};
 use crate::node::{run_manager, run_worker, SharedServer};
 use crate::transport::{Mailbox, MgrMsg, ServerMsg};
-use csar_core::manager::FileMeta;
-use csar_core::proto::{ParityPart, ReqHeader, Request, Response, Scheme, ServerId};
-use csar_core::recovery::RebuildPlan;
-use csar_core::manager::Manager;
+use csar_core::client::maintain::Rebuild;
+use csar_core::manager::{FileMeta, Manager};
+use csar_core::proto::{Request, Response, ServerId};
 use csar_core::server::{IoServer, ServerConfig, ServerImage};
-use csar_core::{CsarError, Span};
+use csar_core::CsarError;
 use csar_obs::trace::{build_trees, TraceSpan};
 use csar_obs::MetricsRegistry;
-use csar_store::{FromJson, Json, Payload, ToJson};
+use csar_store::{FromJson, Json, ToJson};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -304,13 +303,10 @@ impl Cluster {
     /// server's (scraped via `GetStats` so the path any remote client
     /// would use stays exercised) and the cluster-wide client registry.
     pub fn metrics_snapshot(&self) -> Result<csar_obs::Snapshot, CsarError> {
-        let client = self.client();
+        let up = (0..self.servers()).filter(|&srv| !self.inner.down[srv as usize].load(Ordering::SeqCst));
         let mut merged = csar_obs::Snapshot::default();
-        for srv in 0..self.servers() {
-            if self.inner.down[srv as usize].load(Ordering::SeqCst) {
-                continue;
-            }
-            match client.handle().send_one(srv, Request::GetStats)? {
+        for reply in self.client().handle().send_wave(up.map(|srv| (srv, Request::GetStats)).collect())? {
+            match reply {
                 Response::Stats { snapshot } => merged.merge(&snapshot),
                 Response::Err(e) => return Err(e),
                 other => {
@@ -357,11 +353,8 @@ impl Cluster {
     /// restore contents from redundancy.
     pub fn replace_server(&self, id: ServerId) {
         self.inner.down[id as usize].store(false, Ordering::SeqCst);
-        let client = self.client();
-        client
-            .handle()
-            .send_one(id, Request::Wipe)
-            .expect("wipe replacement server");
+        let wiped = self.client().handle().send_wave(vec![(id, Request::Wipe)]);
+        wiped.expect("wipe replacement server");
     }
 
     /// The first failed server, if any.
@@ -374,143 +367,16 @@ impl Cluster {
         f(&self.hold_server(id))
     }
 
-    /// Offline rebuild: replace `failed` with a blank server and restore
-    /// every file's lost pieces from redundancy (mirrors, parity groups,
-    /// overflow mirrors). Fails with `DataLoss` if any RAID0 file has
-    /// blocks on the failed server.
+    /// Replace `failed` with a blank server and restore every file's
+    /// lost pieces from redundancy (mirrors, parity groups, overflow
+    /// mirrors) with the csar-core [`Rebuild`] task. Fails with
+    /// `DataLoss`, before touching anything, if any RAID0 file has blocks
+    /// on the failed server.
     pub fn rebuild_server(&self, failed: ServerId) -> Result<(), CsarError> {
         let client = self.client();
-        let files = client.list_files()?;
-        // RAID0 files with data there are unrecoverable; check before
-        // touching anything.
-        for meta in &files {
-            if meta.scheme == Scheme::Raid0 && meta.size > 0 {
-                let plan = RebuildPlan::for_file(meta, failed);
-                if !plan.data_blocks.is_empty() {
-                    return Err(CsarError::DataLoss(format!(
-                        "RAID0 file '{}' had blocks on server {failed}",
-                        meta.name
-                    )));
-                }
-            }
-        }
+        let rebuild = Rebuild::new(client.list_files()?, failed)?;
         self.replace_server(failed);
-        for meta in &files {
-            self.rebuild_file(&client, meta, failed)?;
-        }
-        Ok(())
-    }
-
-    fn rebuild_file(
-        &self,
-        client: &ClusterClient,
-        meta: &FileMeta,
-        failed: ServerId,
-    ) -> Result<(), CsarError> {
-        let ly = meta.layout;
-        let unit = ly.stripe_unit;
-        let hdr = ReqHeader::new(meta.fh, ly, meta.scheme);
-        let plan = RebuildPlan::for_file(meta, failed);
-        let h = client.handle();
-
-        // --- lost data blocks ------------------------------------------------
-        for &b in &plan.data_blocks {
-            let len = unit.min(meta.size - b * unit);
-            let span = Span { logical_off: b * unit, len };
-            let content = match meta.scheme {
-                Scheme::Raid0 => unreachable!("checked by caller"),
-                Scheme::Raid1 => h
-                    .send_one(ly.mirror_server(b), Request::ReadMirror { hdr, spans: vec![span] })?
-                    .into_payload()?,
-                _ => {
-                    // XOR of the group's parity and surviving in-place blocks.
-                    let g = ly.group_of_block(b);
-                    let read = Request::ParityRead { hdr, group: g, intra: 0, len };
-                    let mut acc = h.send_one(ly.parity_server(g), read)?.into_payload()?;
-                    for other in ly.group_blocks(g).filter(|x| *x != b) {
-                        let spans = vec![Span { logical_off: other * unit, len }];
-                        let p = h.send_one(ly.home_server(other), Request::ReadData { hdr, spans })?;
-                        acc.xor_assign(&p.into_payload()?);
-                    }
-                    acc
-                }
-            };
-            h.send_one(
-                failed,
-                Request::WriteData {
-                    hdr,
-                    spans: vec![(span, content)],
-                    invalidate_primary: false,
-                    invalidate_mirror_spans: vec![],
-                },
-            )?
-            .into_done()?;
-        }
-
-        // --- lost mirror blocks (RAID1) --------------------------------------
-        for &b in &plan.mirror_blocks {
-            let len = unit.min(meta.size - b * unit);
-            let span = Span { logical_off: b * unit, len };
-            let content = h
-                .send_one(ly.home_server(b), Request::ReadData { hdr, spans: vec![span] })?
-                .into_payload()?;
-            h.send_one(failed, Request::WriteMirror { hdr, spans: vec![(span, content)] })?
-                .into_done()?;
-        }
-
-        // --- lost parity blocks ----------------------------------------------
-        for &g in &plan.parity_groups {
-            // A phantom block makes the whole parity phantom.
-            let mut parity = Payload::zeros(unit as usize);
-            for b in ly.group_blocks(g) {
-                let spans = vec![Span { logical_off: b * unit, len: unit }];
-                let p = h.send_one(ly.home_server(b), Request::ReadData { hdr, spans })?;
-                parity.xor_assign(&p.into_payload()?);
-            }
-            h.send_one(
-                failed,
-                Request::WriteParity {
-                    hdr,
-                    parts: vec![ParityPart { group: g, intra: 0, payload: parity }],
-                    invalidate_mirror_spans: vec![],
-                },
-            )?
-            .into_done()?;
-        }
-
-        // --- lost overflow logs (Hybrid) --------------------------------------
-        // The next server's *mirror* table replicates our primary log; the
-        // previous server's *primary* table is what our mirror log held.
-        let next = (failed + 1) % ly.servers;
-        let prev = (failed + ly.servers - 1) % ly.servers;
-        for (lost, src, src_mirror, mirror) in [
-            (plan.overflow_primary, next, true, false),
-            (plan.overflow_mirror, prev, false, true),
-        ] {
-            if !lost {
-                continue;
-            }
-            let entries = match h.send_one(src, Request::DumpOverflowTable { hdr, mirror: src_mirror })? {
-                Response::Table { entries } => entries,
-                Response::Err(e) => return Err(e),
-                other => return Err(CsarError::Protocol(format!("expected Table, got {other:?}"))),
-            };
-            for e in entries {
-                let span = Span { logical_off: e.logical_off, len: e.len };
-                let fetch = Request::OverflowFetch { hdr, spans: vec![span], mirror: src_mirror };
-                let runs = match h.send_one(src, fetch)? {
-                    Response::Runs { runs } => runs,
-                    Response::Err(e) => return Err(e),
-                    other => return Err(CsarError::Protocol(format!("expected Runs, got {other:?}"))),
-                };
-                for (off, payload) in runs {
-                    let span = Span { logical_off: off, len: payload.len() };
-                    h.send_one(failed, Request::OverflowWrite { hdr, spans: vec![(span, payload)], mirror })?
-                        .into_done()?;
-                }
-            }
-        }
-        Ok(())
+        client.handle().run_task(rebuild).map(drop)
     }
 
     /// Stop every worker and the manager thread, and join them.
@@ -544,6 +410,7 @@ impl Drop for Cluster {
 mod tests {
     use super::*;
     use crate::File;
+    use csar_core::proto::Scheme;
     use std::sync::Weak;
 
     #[test]
@@ -577,8 +444,7 @@ mod tests {
     /// and degraded reads, on a 5-server cluster run by `workers`
     /// server workers. Checks every parity group before returning.
     fn mixed_script(workers: usize) -> Observed {
-        use csar_core::recovery::parity_consistent;
-        use csar_store::{SplitMix64, StreamKind};
+        use csar_store::SplitMix64;
         const UNIT: u64 = 4096;
         const REGION: usize = 64 * 1024;
         let engines = (0..5).map(|id| IoServer::new(id, ServerConfig { fs_block: 512, ..ServerConfig::default() }));
@@ -638,20 +504,10 @@ mod tests {
         let degraded = [&raid5, &hybrid].map(read).into();
         cluster.restore_server(2);
         for f in [&raid5, &hybrid] {
-            let (meta, ly) = (f.meta(), f.meta().layout);
-            for g in 0..meta.size.div_ceil(ly.group_width_bytes()) {
-                let stream = |srv, kind, off| {
-                    let p = cluster.with_server(srv, |s| s.store().read(meta.fh, kind, off, UNIT));
-                    p.to_flat_vec().expect("real data")
-                };
-                let data: Vec<Vec<u8>> = ly
-                    .group_blocks(g)
-                    .map(|b| stream(ly.home_server(b), StreamKind::Data, ly.data_local_off(b, 0)))
-                    .collect();
-                let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
-                let parity = stream(ly.parity_server(g), StreamKind::Parity, ly.parity_local_off(g, 0));
-                assert!(parity_consistent(&refs, &parity), "{workers} workers: {} group {g}", meta.name);
-            }
+            let groups = f.size().div_ceil(f.meta().layout.group_width_bytes());
+            let report = f.scrub().expect("scrub");
+            assert!(report.is_clean(), "{workers} workers: {report:?}");
+            assert_eq!(report.groups_checked, groups, "{workers} workers: every group holds real data");
         }
         Observed { bytes, degraded, requests }
     }

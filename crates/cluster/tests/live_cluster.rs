@@ -3,10 +3,9 @@
 
 use csar_cluster::Cluster;
 use csar_core::proto::{ReqHeader, Request, Scheme};
-use csar_core::recovery::parity_consistent;
 use csar_core::server::ServerConfig;
 use csar_core::CsarError;
-use csar_store::{SplitMix64, StreamKind};
+use csar_store::SplitMix64;
 use std::time::{Duration, Instant};
 
 fn cfg() -> ServerConfig {
@@ -20,34 +19,14 @@ fn pattern(len: usize, seed: u64) -> Vec<u8> {
     v
 }
 
-/// Read back every parity group of a file and check it against the
-/// in-place data, through the cluster inspection API.
-fn assert_parity_consistent(cluster: &Cluster, file: &csar_cluster::File) {
+/// Scrub a file: every parity group up to its size holds real data
+/// that matches its parity, and every RAID1 mirror block its primary.
+fn assert_scrub_clean(file: &csar_cluster::File) {
     let meta = file.meta();
-    let ly = meta.layout;
-    let unit = ly.stripe_unit;
-    if !meta.scheme.uses_parity() || meta.size == 0 {
-        return;
-    }
-    let groups = meta.size.div_ceil(ly.group_width_bytes());
-    for g in 0..groups {
-        let mut blocks: Vec<Vec<u8>> = Vec::new();
-        for b in ly.group_blocks(g) {
-            let local = ly.data_local_off(b, 0);
-            let bytes = cluster.with_server(ly.home_server(b), |s| {
-                s.store().read(meta.fh, StreamKind::Data, local, unit)
-            });
-            blocks.push(bytes.as_bytes().expect("real data").to_vec());
-        }
-        let parity = cluster.with_server(ly.parity_server(g), |s| {
-            s.store().read(meta.fh, StreamKind::Parity, ly.parity_local_off(g, 0), unit)
-        });
-        let refs: Vec<&[u8]> = blocks.iter().map(|b| b.as_slice()).collect();
-        assert!(
-            parity_consistent(&refs, &parity.as_bytes().expect("real data")),
-            "group {g} parity inconsistent"
-        );
-    }
+    let groups = if meta.scheme.uses_parity() { meta.size.div_ceil(meta.layout.group_width_bytes()) } else { 0 };
+    let report = file.scrub().unwrap();
+    assert!(report.is_clean(), "{report:?}");
+    assert_eq!(report.groups_checked, groups, "every group holds real data");
 }
 
 #[test]
@@ -63,7 +42,7 @@ fn create_open_write_read_all_schemes() {
         // Reopen through a second client.
         let f2 = cluster.client().open(&name).unwrap();
         assert_eq!(f2.read_at(123, 10_000).unwrap(), data);
-        assert_parity_consistent(&cluster, &f2);
+        assert_scrub_clean(&f2);
     }
     cluster.shutdown();
 }
@@ -105,7 +84,7 @@ fn concurrent_disjoint_writers_same_stripe_keep_parity_consistent() {
             });
         }
     });
-    assert_parity_consistent(&cluster, &f);
+    assert_scrub_clean(&f);
     // Each block holds its writer's final round.
     for w in 0..(n - 1) as u64 {
         let want = pattern(unit as usize, w * 1000 + rounds - 1);
@@ -150,7 +129,7 @@ fn concurrent_writers_two_partial_groups_no_deadlock() {
             });
         }
     });
-    assert_parity_consistent(&cluster, &f);
+    assert_scrub_clean(&f);
     // Every writer's final round is in place.
     let got = f.read_at(0, base.len() as u64).unwrap();
     let mut want = base.clone();
@@ -447,7 +426,7 @@ fn reply_timeout_of_duration_max_never_expires() {
     f.write_at(519, &[7; 256]).unwrap();
     want[519..775].fill(7);
     assert_eq!(f.read_at(0, want.len() as u64).unwrap(), want);
-    assert_parity_consistent(&cluster, &f);
+    assert_scrub_clean(&f);
     cluster.shutdown();
 }
 
@@ -521,7 +500,7 @@ fn one_file_handle_supports_concurrent_operations() {
             });
         }
     });
-    assert_parity_consistent(&cluster, &f);
+    assert_scrub_clean(&f);
     let st = f.op_stats();
     assert!(st.ops >= 81, "4 threads x 10 rounds x 2 ops + seed, got {}", st.ops);
     cluster.shutdown();
@@ -546,7 +525,7 @@ fn pipelined_rmw_keeps_multiple_requests_in_flight() {
     let st = f.op_stats();
     assert!(st.requests > before.requests);
     assert!(st.max_in_flight >= 2, "straddling RMW pipelines, got {}", st.max_in_flight);
-    assert_parity_consistent(&cluster, &f);
+    assert_scrub_clean(&f);
     cluster.shutdown();
 }
 
@@ -636,7 +615,7 @@ fn only_eof_extending_writes_contact_the_manager() {
         assert_eq!(stale.size(), filled + unit);
         let third = cluster.client().open("mgr").unwrap();
         assert_eq!(third.size(), end, "{scheme:?}: the manager keeps the max");
-        assert_parity_consistent(&cluster, &f);
+        assert_scrub_clean(&f);
         cluster.shutdown();
     }
 }

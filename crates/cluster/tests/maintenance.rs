@@ -194,57 +194,57 @@ fn cleaner_never_loses_a_concurrent_write() {
     cluster.shutdown();
 }
 
+/// Seeded corruption: per seed one RAID5 parity block, one Hybrid
+/// in-place data block (a `WriteData` that invalidates nothing) and one
+/// RAID1 mirror block rot behind the cluster's back, and the scrub names
+/// exactly those.
 #[test]
 fn scrub_detects_corruption() {
-    let cluster = Cluster::spawn(4, Default::default());
-    let client = cluster.client();
-    // A RAID5 file and a RAID1 file, both healthy.
-    let f5 = client.create("r5", Scheme::Raid5, 512).unwrap();
-    f5.write_at(0, &vec![7u8; 6000]).unwrap();
-    let f1 = client.create("r1", Scheme::Raid1, 512).unwrap();
-    f1.write_at(0, &vec![8u8; 6000]).unwrap();
-    let clean = cluster.scrub().unwrap();
-    assert!(clean.is_clean());
-    assert!(clean.groups_checked > 0 && clean.mirrors_checked > 0);
-
-    // Corrupt one parity block and one mirror block behind the
-    // cluster's back (bit rot).
-    let meta5 = f5.meta();
-    cluster.with_server(meta5.layout.parity_server(0), |_s| {});
-    // `with_server` gives &IoServer; corruption needs a write path — use
-    // the raw protocol via a client handle targeting the parity stream.
-    // Easiest honest corruption: write different data through WriteParity.
     use csar_core::proto::{ParityPart, ReqHeader, Request};
-    use csar_store::Payload;
-    let hdr5 = ReqHeader::new(meta5.fh, meta5.layout, meta5.scheme);
-    let rogue = cluster.client();
-    rogue
-        .send_raw(
-            meta5.layout.parity_server(0),
-            Request::WriteParity {
-                hdr: hdr5,
-                parts: vec![ParityPart { group: 0, intra: 0, payload: Payload::from_vec(vec![0xFF; 512]) }],
-                invalidate_mirror_spans: vec![],
-            },
-        )
-        .unwrap();
-    let meta1 = f1.meta();
-    let hdr1 = ReqHeader::new(meta1.fh, meta1.layout, meta1.scheme);
-    rogue
-        .send_raw(
-            meta1.layout.mirror_server(3),
-            Request::WriteMirror {
-                hdr: hdr1,
-                spans: vec![(
-                    csar_core::Span { logical_off: 3 * 512, len: 512 },
-                    Payload::from_vec(vec![0xEE; 512]),
-                )],
-            },
-        )
-        .unwrap();
+    use csar_core::Span;
+    use csar_store::{Payload, SplitMix64};
+    let (unit, len) = (512u64, 6000u64);
+    for seed in 0..8u64 {
+        let mut rng = SplitMix64::new(0x5C2B_1000 + seed);
+        let cluster = Cluster::spawn(4, Default::default());
+        let client = cluster.client();
+        // A RAID5, a Hybrid and a RAID1 file, all healthy.
+        let f5 = client.create("r5", Scheme::Raid5, unit).unwrap();
+        f5.write_at(0, &vec![7u8; len as usize]).unwrap();
+        let fh = client.create("hy", Scheme::Hybrid, unit).unwrap();
+        fh.write_at(0, &vec![9u8; len as usize]).unwrap();
+        let f1 = client.create("r1", Scheme::Raid1, unit).unwrap();
+        f1.write_at(0, &vec![8u8; len as usize]).unwrap();
+        let clean = cluster.scrub().unwrap();
+        assert!(clean.is_clean());
+        assert!(clean.groups_checked > 0 && clean.mirrors_checked > 0);
 
-    let dirty = cluster.scrub().unwrap();
-    assert_eq!(dirty.bad_groups, vec![("r5".to_string(), 0)]);
-    assert_eq!(dirty.bad_mirrors, vec![("r1".to_string(), 3)]);
-    cluster.shutdown();
+        // Corrupt one parity block, one in-place data block and one
+        // mirror block behind the cluster's back (bit rot).
+        let ly = f5.meta().layout;
+        let (groups, blocks) = (len.div_ceil(ly.group_width_bytes()), len.div_ceil(unit));
+        let (g5, bh, b1) = (rng.gen_range(0..groups), rng.gen_range(0..blocks), rng.gen_range(0..blocks));
+        let rogue = Payload::from_vec(vec![0xEE; unit as usize]);
+        let hdr = |f: &csar_cluster::File| ReqHeader::new(f.meta().fh, ly, f.meta().scheme);
+        let span = |b: u64| Span { logical_off: b * unit, len: unit };
+        let parts = vec![ParityPart { group: g5, intra: 0, payload: rogue.clone() }];
+        let spans = vec![(span(bh), rogue.clone())];
+        let corrupt = [
+            (ly.parity_server(g5), Request::WriteParity { hdr: hdr(&f5), parts, invalidate_mirror_spans: vec![] }),
+            (
+                ly.home_server(bh),
+                Request::WriteData { hdr: hdr(&fh), spans, invalidate_primary: false, invalidate_mirror_spans: vec![] },
+            ),
+            (ly.mirror_server(b1), Request::WriteMirror { hdr: hdr(&f1), spans: vec![(span(b1), rogue)] }),
+        ];
+        for (srv, req) in corrupt {
+            client.send_raw(srv, req).unwrap().into_done().unwrap();
+        }
+
+        let dirty = cluster.scrub().unwrap();
+        let hy_group = ly.group_of_block(bh);
+        assert_eq!(dirty.bad_groups, vec![("hy".to_string(), hy_group), ("r5".to_string(), g5)], "seed {seed}");
+        assert_eq!(dirty.bad_mirrors, vec![("r1".to_string(), b1)], "seed {seed}");
+        cluster.shutdown();
+    }
 }

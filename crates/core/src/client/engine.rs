@@ -31,7 +31,7 @@ use super::{Completion, Effect, OpDriver, OpOutput, Token};
 use crate::error::CsarError;
 use crate::proto::{Request, Response, ServerId};
 use csar_obs::trace::{op_span, Phase, SpanId, TraceCtx, TraceId, TraceSpan};
-use csar_obs::Ctr;
+use csar_obs::{Ctr, Hist};
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Per-op engine policy. The live cluster derives it from its transport
@@ -116,6 +116,8 @@ pub enum Note {
     Abandoned(u64),
     /// A driver's [`Effect::Count`]: add `n` to the counter.
     Count(Ctr, u64),
+    /// A driver's [`Effect::Observe`]: record `ns` in the histogram.
+    Observe(Hist, u64),
 }
 
 /// What the engine needs from whoever runs it: a clock, a wire and a
@@ -185,6 +187,8 @@ pub struct OpEngine {
     /// Computes in progress: token, charged at, bytes.
     computing: Vec<(Token, u64, u64)>,
     started: u64,
+    /// The section clock's start ([`Effect::Mark`]).
+    mark: u64,
     first_reply: Option<u64>,
     stats: OpStats,
     /// Set once the op has finished.
@@ -210,12 +214,14 @@ impl OpEngine {
         (self.first_reply, self.out) = (None, None);
         self.stats = OpStats { ops: 1, ..OpStats::default() };
         self.started = ex.now_ns();
+        self.mark = self.started;
         self.root = self.span_id();
         if self.cfg.barrier {
             d.set_batch_issue(true);
         }
         let effects = d.poll(Completion::Begin);
-        let planned = effects.iter().filter(|e| !matches!(e, Effect::Count { .. })).count();
+        let bookkeeping = |e: &&Effect| matches!(e, Effect::Count { .. } | Effect::Mark | Effect::Observe { .. });
+        let planned = effects.iter().filter(|e| !bookkeeping(e)).count();
         self.traced(ex, self.root, Phase::Plan, self.started, planned as u64);
         self.absorb(effects, ex);
         self.settle(ex)
@@ -342,6 +348,11 @@ impl OpEngine {
                     ex.compute(token, bytes);
                 }
                 Effect::Count { ctr, n } => ex.note(Note::Count(ctr, n)),
+                Effect::Mark => self.mark = ex.now_ns(),
+                Effect::Observe { hist } => {
+                    let ns = ex.now_ns().saturating_sub(self.mark);
+                    ex.note(Note::Observe(hist, ns));
+                }
                 Effect::Done(r) => self.out = Some(r),
             }
         }

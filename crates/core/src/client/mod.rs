@@ -38,12 +38,14 @@
 //!   effects and must be tolerated by both sides.
 
 pub mod engine;
+pub mod maintain;
 pub mod read;
+pub mod waves;
 pub mod write;
 
 use crate::error::CsarError;
 use crate::proto::{Request, Response, ServerId};
-use csar_obs::Ctr;
+use csar_obs::{Ctr, Hist};
 use csar_store::Payload;
 
 pub use read::ReadDriver;
@@ -102,6 +104,15 @@ pub enum Effect {
         ctr: Ctr,
         /// Amount to add.
         n: u64,
+    },
+    /// Restart the op's section clock (it starts with the op).
+    Mark,
+    /// Record in `hist` the executor-clock time since the last
+    /// [`Effect::Mark`] (or the op's start): how a driver, which has no
+    /// clock, times a section of its op.
+    Observe {
+        /// The histogram.
+        hist: Hist,
     },
     /// The operation finished. No further effects will be produced.
     Done(Result<OpOutput, CsarError>),
@@ -164,7 +175,7 @@ where
                 driver.poll(Completion::Reply { token, resp })
             }
             Effect::Compute { token, .. } => driver.poll(Completion::ComputeDone { token }),
-            Effect::Count { .. } => continue,
+            Effect::Count { .. } | Effect::Mark | Effect::Observe { .. } => continue,
             Effect::Done(result) => return result,
         };
         queue.extend(more);

@@ -366,6 +366,15 @@ impl Response {
         }
     }
 
+    /// Unwrap a `Usage` reply.
+    pub fn into_usage(self) -> Result<StreamUsage, CsarError> {
+        match self {
+            Response::Usage { usage } => Ok(usage),
+            Response::Err(e) => Err(e),
+            other => Err(CsarError::Protocol(format!("expected Usage reply, got {other:?}"))),
+        }
+    }
+
     /// Unwrap a `Done` reply.
     pub fn into_done(self) -> Result<u64, CsarError> {
         match self {

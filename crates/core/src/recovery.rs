@@ -12,8 +12,9 @@
 //!   overflow-mirror table, and the lost overflow-*mirror* log from the
 //!   previous server's primary table.
 //!
-//! [`RebuildPlan`] enumerates the work for one file; the live cluster's
-//! `rebuild_server` walks it with ordinary protocol requests.
+//! [`RebuildPlan`] enumerates the work for one file; the
+//! [`crate::client::maintain::Rebuild`] task sends it as up to three
+//! waves of protocol requests per file, on any executor.
 
 use crate::manager::FileMeta;
 use crate::proto::{Scheme, ServerId};
@@ -80,8 +81,8 @@ impl RebuildPlan {
 }
 
 /// Check that a parity group is internally consistent: the parity block
-/// equals the XOR of the group's data blocks. Used by tests and by the
-/// verification examples.
+/// equals the XOR of the group's data blocks. The benchmark's live check
+/// uses it.
 pub fn parity_consistent(data_blocks: &[&[u8]], parity: &[u8]) -> bool {
     let computed = csar_parity::parity_of(data_blocks);
     computed == parity

@@ -8,10 +8,11 @@
 //! §5.1 lock protocol under interleaving, and degraded reads after a
 //! fail-stop.
 
+use csar_core::client::maintain::{Scrub, ScrubReport};
+use csar_core::client::waves::Waves;
 use csar_core::client::{run_driver, OpOutput, ReadDriver, WriteDriver};
 use csar_core::manager::FileMeta;
 use csar_core::proto::Scheme;
-use csar_core::recovery::parity_consistent;
 use csar_core::server::{Effect as SrvEffect, ServerConfig};
 use csar_core::{CsarError, Layout};
 use csar_store::{Payload, SplitMix64, StreamKind};
@@ -40,30 +41,21 @@ impl MiniCluster {
         Ok(out.into_payload().as_bytes().expect("real data").to_vec())
     }
 
-    /// Check RAID5/Hybrid parity consistency of every group that has any
-    /// in-place data, straight from the stores.
-    fn assert_parity_consistent(&self, meta: &FileMeta, upto: u64) {
-        let ly = meta.layout;
-        let unit = ly.stripe_unit;
-        let groups = upto.div_ceil(ly.group_width_bytes());
-        for g in 0..groups {
-            let mut blocks: Vec<Vec<u8>> = Vec::new();
-            for b in ly.group_blocks(g) {
-                let srv = &self.servers[ly.home_server(b) as usize];
-                let local = ly.data_local_off(b, 0);
-                let p = srv.store().read(meta.fh, StreamKind::Data, local, unit);
-                blocks.push(p.as_bytes().expect("real data").to_vec());
-            }
-            let psrv = &self.servers[ly.parity_server(g) as usize];
-            let parity = psrv
-                .store()
-                .read(meta.fh, StreamKind::Parity, ly.parity_local_off(g, 0), unit)
-                .as_bytes()
-                .expect("real data")
-                .to_vec();
-            let refs: Vec<&[u8]> = blocks.iter().map(|b| b.as_slice()).collect();
-            assert!(parity_consistent(&refs, &parity), "group {g} parity inconsistent");
-        }
+    /// The core scrub of `files` on the reference executor, around any
+    /// failed server.
+    fn scrub(&mut self, files: Vec<FileMeta>) -> ScrubReport {
+        let failed = self.down.iter().position(|d| *d).map(|i| i as u32);
+        let mut d = Waves::new(Scrub::new(files, failed));
+        run_driver(&mut d, |srv, req| Ok(self.exchange(srv, req))).unwrap();
+        d.task.report
+    }
+
+    /// Every RAID5/Hybrid parity group of `[0, upto)` holds real data and
+    /// matches it.
+    fn assert_scrub_clean(&mut self, meta: &FileMeta, upto: u64) {
+        let report = self.scrub(vec![FileMeta { size: upto, ..meta.clone() }]);
+        assert!(report.is_clean(), "{report:?}");
+        assert_eq!(report.groups_checked, upto.div_ceil(meta.layout.group_width_bytes()), "{report:?}");
     }
 }
 
@@ -149,7 +141,7 @@ fn raid5_parity_consistent_after_unaligned_writes() {
     c.write(&m, 0, &pattern(300, 3)).unwrap();
     c.write(&m, 37, &pattern(90, 4)).unwrap();
     c.write(&m, 5, &pattern(7, 5)).unwrap();
-    c.assert_parity_consistent(&m, 300);
+    c.assert_scrub_clean(&m, 300);
 }
 
 #[test]
@@ -161,7 +153,7 @@ fn hybrid_parity_describes_in_place_data_even_with_overflow() {
     // in-place data (that is the crash-consistency invariant).
     c.write(&m, 10, &pattern(20, 7)).unwrap();
     c.write(&m, 100, &pattern(30, 8)).unwrap();
-    c.assert_parity_consistent(&m, 300);
+    c.assert_scrub_clean(&m, 300);
 }
 
 #[test]
@@ -171,7 +163,69 @@ fn raid5_nolock_leaves_same_parity_single_client() {
     let m = meta(Scheme::Raid5NoLock, 4, 16);
     c.write(&m, 0, &pattern(300, 9)).unwrap();
     c.write(&m, 21, &pattern(50, 10)).unwrap();
-    c.assert_parity_consistent(&m, 300);
+    c.assert_scrub_clean(&m, 300);
+}
+
+/// Seeded corruption through the one scrub, on the reference executor:
+/// per seed one RAID5 parity block, one Hybrid in-place data block (a
+/// `WriteData` that invalidates nothing) and one RAID1 mirror block go
+/// bad behind the drivers' backs, and the scrub names exactly those.
+/// With a server failed it skips what it cannot verify, not failing.
+#[test]
+fn scrub_names_exactly_the_seeded_corruption() {
+    use csar_core::proto::{ParityPart, ReqHeader, Request};
+    use csar_core::Span;
+    let (n, unit, size) = (4u32, 16u64, 300u64);
+    for seed in 0..8u64 {
+        let mut rng = SplitMix64::new(0x5C2B_0000 + seed);
+        let mut c = mini(n);
+        let files: Vec<FileMeta> = [Scheme::Raid5, Scheme::Hybrid, Scheme::Raid1]
+            .into_iter()
+            .enumerate()
+            .map(|(i, s)| FileMeta { fh: i as u64 + 1, name: s.label().into(), size, ..meta(s, n, unit) })
+            .collect();
+        for f in &files {
+            c.write(f, 0, &pattern(size as usize, rng.next_u64())).unwrap();
+        }
+        let ly = files[0].layout;
+        let (groups, blocks) = (size.div_ceil(ly.group_width_bytes()), size.div_ceil(unit));
+        let clean = c.scrub(files.clone());
+        assert!(clean.is_clean(), "seed {seed}: {clean:?}");
+        assert_eq!((clean.groups_checked, clean.mirrors_checked), (2 * groups, blocks));
+
+        let (g5, bh, b1) = (rng.gen_range(0..groups), rng.gen_range(0..blocks), rng.gen_range(0..blocks));
+        let rogue = Payload::from_vec(pattern(unit as usize, rng.next_u64()));
+        let hdr = |f: &FileMeta| ReqHeader::new(f.fh, f.layout, f.scheme);
+        let span = |b: u64| Span { logical_off: b * unit, len: unit };
+        let parts = vec![ParityPart { group: g5, intra: 0, payload: rogue.clone() }];
+        let spans = vec![(span(bh), rogue.clone())];
+        let corrupt = [
+            (ly.parity_server(g5), Request::WriteParity { hdr: hdr(&files[0]), parts, invalidate_mirror_spans: vec![] }),
+            (
+                ly.home_server(bh),
+                Request::WriteData { hdr: hdr(&files[1]), spans, invalidate_primary: false, invalidate_mirror_spans: vec![] },
+            ),
+            (ly.mirror_server(b1), Request::WriteMirror { hdr: hdr(&files[2]), spans: vec![(span(b1), rogue)] }),
+        ];
+        for (srv, req) in corrupt {
+            c.exchange(srv, req).into_done().unwrap();
+        }
+        let dirty = c.scrub(files.clone());
+        let named = |i: usize, at: u64| vec![(files[i].name.clone(), at)];
+        assert_eq!(dirty.bad_groups, [named(0, g5), named(1, ly.group_of_block(bh))].concat(), "seed {seed}");
+        assert_eq!(dirty.bad_mirrors, named(2, b1), "seed {seed}");
+
+        // Every group has a piece on every server; a RAID1 block is
+        // checkable when neither copy is on the failed one.
+        c.down[1] = true;
+        let degraded = c.scrub(files.clone());
+        c.down[1] = false;
+        let checkable = |b: u64| ly.home_server(b) != 1 && ly.mirror_server(b) != 1;
+        assert_eq!(degraded.groups_checked, 0, "seed {seed}");
+        assert_eq!(degraded.mirrors_checked, (0..blocks).filter(|&b| checkable(b)).count() as u64);
+        let bad = if checkable(b1) { named(2, b1) } else { vec![] };
+        assert_eq!((degraded.bad_groups, degraded.bad_mirrors), (vec![], bad), "seed {seed}");
+    }
 }
 
 /// Known-answer parity on stripe-unit-sized blocks: a fresh whole-group
@@ -199,7 +253,7 @@ fn known_answer_case(scheme: Scheme) {
         c.down[failed] = false;
         assert_eq!(got, shadow, "{scheme:?}: degraded read around server {failed} diverged");
     }
-    c.assert_parity_consistent(&m, total);
+    c.assert_scrub_clean(&m, total);
 }
 
 #[test]
@@ -248,7 +302,7 @@ fn hybrid_full_group_write_invalidates_overflow() {
     c.write(&m, 0, &fresh).unwrap();
     assert_eq!(c.servers[0].overflow_live_bytes(m.fh), 0);
     assert_eq!(c.read(&m, 0, 48).unwrap(), fresh);
-    c.assert_parity_consistent(&m, 48);
+    c.assert_scrub_clean(&m, 48);
 }
 
 #[test]
@@ -396,7 +450,7 @@ fn interleaved_rmw_writers_keep_parity_consistent() {
                     let more = drivers[i].poll(Completion::ComputeDone { token });
                     queues[i].extend(more);
                 }
-                Effect::Count { .. } => {}
+                Effect::Count { .. } | Effect::Mark | Effect::Observe { .. } => {}
                 Effect::Done(r) => {
                     r.unwrap();
                     finished[i] = true;
@@ -414,7 +468,7 @@ fn interleaved_rmw_writers_keep_parity_consistent() {
     want[0..unit as usize].copy_from_slice(&d1);
     want[2 * unit as usize..3 * unit as usize].copy_from_slice(&d2);
     assert_eq!(c.read(&m, 0, want.len() as u64).unwrap(), want);
-    c.assert_parity_consistent(&m, want.len() as u64);
+    c.assert_scrub_clean(&m, want.len() as u64);
 }
 
 // ---------------------------------------------------------------------------
@@ -440,7 +494,7 @@ fn randomized_writes_match_reference_model() {
             let got = c.read(&m, 0, 600).unwrap();
             assert_eq!(got, reference, "{scheme:?} n={n}");
             if scheme.uses_parity() {
-                c.assert_parity_consistent(&m, 600);
+                c.assert_scrub_clean(&m, 600);
             }
         }
     }

@@ -168,6 +168,7 @@ impl Executor for Shuffler<'_> {
             Note::Abandoned(n) => self.obs.add(Ctr::EngAbandoned, n),
             Note::WindowStall(_) => self.obs.inc(Ctr::EngWindowStalls),
             Note::Count(ctr, n) => self.obs.add(ctr, n),
+            Note::Observe(hist, ns) => self.obs.observe(hist, ns),
         }
     }
 }

@@ -49,8 +49,8 @@ impl MiniCluster {
         let mut d = WriteDriver::new(meta, off, Payload::from_vec(data.to_vec()));
         let mut wave = d.poll(Completion::Begin);
         loop {
-            // Counter effects carry no message to lose.
-            wave.retain(|e| !matches!(e, Effect::Count { .. }));
+            // Counter and timer effects carry no message to lose.
+            wave.retain(|e| !matches!(e, Effect::Count { .. } | Effect::Mark | Effect::Observe { .. }));
             let is_final = !wave.is_empty()
                 && wave.iter().all(|e| {
                     matches!(
@@ -82,7 +82,7 @@ impl MiniCluster {
                     Effect::Compute { token, .. } => {
                         next.extend(d.poll(Completion::ComputeDone { token }));
                     }
-                    Effect::Count { .. } => unreachable!("dropped above"),
+                    Effect::Count { .. } | Effect::Mark | Effect::Observe { .. } => unreachable!("dropped above"),
                     Effect::Done(r) => {
                         r.unwrap();
                         panic!("write completed; expected to crash in the final wave");

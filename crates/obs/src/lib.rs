@@ -136,6 +136,10 @@ metric_enum! {
         ScrubGroupsChecked => "scrub_groups_checked",
         /// Mirror blocks the scrubber verified.
         ScrubMirrorsChecked => "scrub_mirrors_checked",
+        /// Verified parity groups whose parity did not match the data.
+        ScrubBadGroups => "scrub_bad_groups",
+        /// Verified mirror blocks that did not match their primary.
+        ScrubBadMirrors => "scrub_bad_mirrors",
     }
 }
 

@@ -11,6 +11,8 @@ use crate::engine::EventQueue;
 use crate::resource::FifoResource;
 use crate::{mb_per_sec, transfer_ns};
 use csar_core::client::engine::{EngineConfig, Executor, Finished, Note, OpEngine, OpStats};
+use csar_core::client::maintain::Scrub;
+use csar_core::client::waves::Waves;
 use csar_core::client::{OpDriver, ReadDriver, Token, WriteDriver};
 use csar_core::manager::FileMeta;
 use csar_core::proto::{Request, Response, Scheme, ServerId};
@@ -28,6 +30,9 @@ pub enum Op {
     Write { file: usize, off: u64, len: u64 },
     /// Read `len` bytes at `off` of file `file`.
     Read { file: usize, off: u64, len: u64 },
+    /// Verify file `file`'s parity groups and mirror blocks against its
+    /// data ([`Scrub`]); the outcome lands in the `scrub_*` counters.
+    Scrub { file: usize },
 }
 
 /// A barrier-delimited phase: per-client operation lists. All clients
@@ -520,6 +525,7 @@ impl SimCluster {
                 self.bytes_read += len;
                 Box::new(ReadDriver::new(&self.files[file], off, len, self.failed))
             }
+            Op::Scrub { file } => Box::new(Waves::new(Scrub::new(vec![self.files[file].clone()], self.failed))),
         };
         let trace = self.tracing.then(|| {
             self.next_trace += 1;
@@ -671,8 +677,10 @@ impl Executor for SimIo<'_> {
     }
 
     fn note(&mut self, note: Note) {
-        if let Note::Count(ctr, n) = note {
-            self.obs.add(ctr, n);
+        match note {
+            Note::Count(ctr, n) => self.obs.add(ctr, n),
+            Note::Observe(hist, ns) => self.obs.observe(hist, ns),
+            _ => {}
         }
     }
 }
@@ -713,6 +721,31 @@ mod tests {
             assert_eq!(a.join().unwrap(), 3);
             assert_eq!(b.join().unwrap(), 5);
         });
+    }
+
+    /// The core scrub as a sim op: with real payloads it verifies every
+    /// group (RAID1: block) of a freshly written file and finds nothing.
+    #[test]
+    fn scrub_op_checks_every_group_and_mirror_block() {
+        let (n, unit) = (4u32, 4096u64);
+        let len = 10 * 3 * unit + 1000; // whole groups and a partial tail
+        let mut s = sim(n, 1);
+        s.set_data_payloads(true);
+        for scheme in [Scheme::Raid1, Scheme::Raid5, Scheme::Hybrid] {
+            let f = s.create_file(scheme.label(), scheme, unit);
+            s.run_phase(vec![(0, vec![Op::Write { file: f, off: 0, len }])]);
+            let before = s.metrics_snapshot();
+            s.run_phase(vec![(0, vec![Op::Scrub { file: f }])]);
+            let after = s.metrics_snapshot();
+            let delta = |name: &str| after.counter(name) - before.counter(name);
+            let (groups, blocks) = match scheme {
+                Scheme::Raid1 => (0, len.div_ceil(unit)),
+                _ => (len.div_ceil(Layout::new(n, unit).group_width_bytes()), 0),
+            };
+            let checked = (delta("scrub_groups_checked"), delta("scrub_mirrors_checked"));
+            assert_eq!(checked, (groups, blocks), "{scheme:?}");
+            assert_eq!((delta("scrub_bad_groups"), delta("scrub_bad_mirrors")), (0, 0), "{scheme:?}");
+        }
     }
 
     #[test]

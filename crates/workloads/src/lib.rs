@@ -56,7 +56,7 @@ impl Workload {
         self.iter_ops()
             .map(|op| match op {
                 Op::Write { len, .. } => *len,
-                Op::Read { .. } => 0,
+                Op::Read { .. } | Op::Scrub { .. } => 0,
             })
             .sum()
     }
@@ -66,7 +66,7 @@ impl Workload {
         self.iter_ops()
             .map(|op| match op {
                 Op::Read { len, .. } => *len,
-                Op::Write { .. } => 0,
+                Op::Write { .. } | Op::Scrub { .. } => 0,
             })
             .sum()
     }
@@ -98,7 +98,7 @@ impl Workload {
     pub fn files(&self) -> usize {
         self.iter_ops()
             .map(|op| match op {
-                Op::Write { file, .. } | Op::Read { file, .. } => *file + 1,
+                Op::Write { file, .. } | Op::Read { file, .. } | Op::Scrub { file } => *file + 1,
             })
             .max()
             .unwrap_or(1)

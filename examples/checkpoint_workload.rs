@@ -12,8 +12,6 @@
 
 use csar::cluster::Cluster;
 use csar::core::proto::Scheme;
-use csar::core::recovery::parity_consistent;
-use csar::store::StreamKind;
 use csar::store::SplitMix64;
 use std::time::Instant;
 
@@ -65,26 +63,8 @@ fn main() {
         }
 
         // Verify every parity group against the in-place data.
-        let meta = f.meta();
-        if meta.scheme.uses_parity() {
-            let ly = meta.layout;
-            let unit = ly.stripe_unit;
-            let groups = meta.size.div_ceil(ly.group_width_bytes());
-            for g in 0..groups {
-                let mut blocks: Vec<Vec<u8>> = Vec::new();
-                for b in ly.group_blocks(g) {
-                    let bytes = cluster.with_server(ly.home_server(b), |s| {
-                        s.store().read(meta.fh, StreamKind::Data, ly.data_local_off(b, 0), unit)
-                    });
-                    blocks.push(bytes.as_bytes().unwrap().to_vec());
-                }
-                let parity = cluster.with_server(ly.parity_server(g), |s| {
-                    s.store().read(meta.fh, StreamKind::Parity, ly.parity_local_off(g, 0), unit)
-                });
-                let refs: Vec<&[u8]> = blocks.iter().map(|b| b.as_slice()).collect();
-                assert!(parity_consistent(&refs, &parity.as_bytes().unwrap()));
-            }
-        }
+        let scrub = f.scrub().unwrap();
+        assert!(scrub.is_clean(), "{scrub:?}");
 
         let report = f.storage_report().unwrap();
         let mb = (DUMPS * DUMP_BYTES) as f64 / (1024.0 * 1024.0);

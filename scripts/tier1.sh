@@ -88,7 +88,13 @@ grep -q '"counters"' "$scratch/stats.json" || {
 }
 echo "tier1: live metrics scrape: snapshot round-trips, engine balanced (gate ok)"
 # §6.7 cleaner regressions (group-precision, tail reclaim, lost-update
-# race): already part of `cargo test -q` above, re-run here by name so
-# a gate failure points straight at the cleaner.
+# race), the wave driver under the maintenance tasks, and the tasks'
+# tests on the reference executor and the simulator (seeded
+# corruption, failed-server skips, scrub op):
+# already part of `cargo test -q` above, re-run here by name so a gate
+# failure points straight at the cleaner or the scrub.
 cargo test -q -p csar-cluster --test maintenance > /dev/null
-echo "tier1: cleaner regression tests: ok"
+cargo test -q -p csar-core --lib waves > /dev/null
+cargo test -q -p csar-core --test protocol_roundtrip scrub > /dev/null
+cargo test -q -p csar-sim scrub > /dev/null
+echo "tier1: cleaner and maintenance-task tests: ok"

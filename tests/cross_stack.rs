@@ -235,6 +235,7 @@ fn sim_and_live_emit_the_same_trace_trees() {
         match op {
             Op::Write { file, off, len } => files[file].write_at(off, &vec![7u8; len as usize]).map(drop),
             Op::Read { file, off, len } => files[file].read_at(off, len).map(drop),
+            Op::Scrub { .. } => unreachable!("the script scrubs nothing"),
         }
         .unwrap();
     }

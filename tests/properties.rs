@@ -5,8 +5,7 @@
 
 use csar::cluster::Cluster;
 use csar::core::proto::Scheme;
-use csar::core::recovery::parity_consistent;
-use csar::store::{SplitMix64, StreamKind};
+use csar::store::SplitMix64;
 
 #[derive(Debug, Clone)]
 struct WriteOp {
@@ -35,31 +34,14 @@ fn pick<T: Copy>(rng: &mut SplitMix64, items: &[T]) -> T {
     items[rng.gen_usize(0..items.len())]
 }
 
-fn check_parity(cluster: &Cluster, file: &csar::cluster::File) {
+/// Scrub a file: every parity group up to its size holds real data
+/// that matches its parity, and every RAID1 mirror block its primary.
+fn assert_scrub_clean(file: &csar::cluster::File) {
     let meta = file.meta();
-    if !meta.scheme.uses_parity() || meta.size == 0 {
-        return;
-    }
-    let ly = meta.layout;
-    let unit = ly.stripe_unit;
-    for g in 0..meta.size.div_ceil(ly.group_width_bytes()) {
-        let mut blocks = Vec::new();
-        for b in ly.group_blocks(g) {
-            let p = cluster.with_server(ly.home_server(b), |s| {
-                s.store().read(meta.fh, StreamKind::Data, ly.data_local_off(b, 0), unit)
-            });
-            blocks.push(p.as_bytes().expect("real data").to_vec());
-        }
-        let parity = cluster.with_server(ly.parity_server(g), |s| {
-            s.store().read(meta.fh, StreamKind::Parity, ly.parity_local_off(g, 0), unit)
-        });
-        let refs: Vec<&[u8]> = blocks.iter().map(|b| b.as_slice()).collect();
-        assert!(
-            parity_consistent(&refs, &parity.as_bytes().expect("real data")),
-            "group {g} parity inconsistent under {:?}",
-            meta.scheme
-        );
-    }
+    let groups = if meta.scheme.uses_parity() { meta.size.div_ceil(meta.layout.group_width_bytes()) } else { 0 };
+    let report = file.scrub().unwrap();
+    assert!(report.is_clean(), "{:?}: {report:?}", meta.scheme);
+    assert_eq!(report.groups_checked, groups, "{:?}: every group holds real data", meta.scheme);
 }
 
 /// Any sequence of overlapping writes reads back like a flat file, for
@@ -89,7 +71,7 @@ fn random_writes_match_flat_reference() {
         );
         let got = file.read_at(0, size).unwrap();
         assert_eq!(&got[..], &reference[..size as usize], "case {case} ({scheme:?})");
-        check_parity(&cluster, &file);
+        assert_scrub_clean(&file);
         cluster.shutdown();
     }
 }
@@ -218,7 +200,7 @@ fn degraded_writes_roundtrip() {
         cluster.rebuild_server(kill).unwrap();
         let got = file.read_at(0, size).unwrap();
         assert_eq!(&got[..], &reference[..size as usize], "case {case}");
-        check_parity(&cluster, &file);
+        assert_scrub_clean(&file);
         let other = (kill + 2) % 4;
         cluster.fail_server(other);
         let got = file.read_at(0, size).unwrap();
