@@ -220,13 +220,9 @@ fn bench_cost(path: &str) {
     let f = &ledger.fold;
     let (groups, warmup, steady) = (f.groups, f.warmup_allocs, f.steady_allocs);
     println!("parity fold       : {groups} groups, warmup {warmup} allocs, steady {steady} allocs");
-    for (name, a) in [
-        ("registry record   ", &ledger.registry),
-        ("record_trace off  ", &ledger.record_trace_off),
-        ("record_trace on   ", &ledger.record_trace_on),
-    ] {
-        println!("{name}: {} ops, warmup {} allocs, steady {} allocs", a.ops, a.warmup_allocs, a.steady_allocs);
-    }
+    let r = &ledger.registry;
+    let (ops, warmup, steady) = (r.ops, r.warmup_allocs, r.steady_allocs);
+    println!("registry record   : {ops} ops, warmup {warmup} allocs, steady {steady} allocs");
     println!(
         "\n{:>8} {:>18} {:>5} {:>9} {:>12} {:>9} {:>9} {:>7}",
         "scheme", "shape", "ops", "requests", "virtual ns", "allocs", "traced", "spans"

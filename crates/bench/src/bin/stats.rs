@@ -59,7 +59,6 @@ fn render_table(snap: &Snapshot) -> String {
             );
         }
     }
-    push(&mut out, format!("\ntrace spans: {}", snap.traces.len()));
     out
 }
 

@@ -13,11 +13,9 @@
 //! Two parts:
 //!
 //! * **Allocation audits** of the zero-allocation hot paths: the
-//!   whole-group parity fold ([`whole_group_alloc_audit`]), metric
-//!   recording on a warm registry ([`registry_alloc_audit`]) and
-//!   [`MetricsRegistry::record_trace`] with tracing off and on
-//!   ([`trace_record_alloc_audit`]). Each must report zero steady-state
-//!   allocations.
+//!   whole-group parity fold ([`whole_group_alloc_audit`]) and metric
+//!   recording on a warm registry ([`registry_alloc_audit`]). Each must
+//!   report zero steady-state allocations.
 //! * **The per-case table** ([`case_cost`]): RAID1/RAID5/Hybrid × the
 //!   four [`Shape`]s on the perfbench geometry (5 servers, 64 KiB stripe
 //!   unit, real payloads, metrics on). Each case runs a warm-up phase,
@@ -27,12 +25,12 @@
 //!
 //! Host-timed costs (XOR bandwidth, fold time, tracing overhead, the
 //! sim's host ns per request) live in perfbench, reported with their
-//! spreads. The `obs_record` crit bench times one metric or span
-//! record, so instrumentation cost is ns per record × records per op.
+//! spreads. The `obs_record` crit bench times one metric record, so
+//! metric cost is ns per record × records per op.
 
 use crate::alloc_count;
 use csar_core::proto::Scheme;
-use csar_obs::trace::{Phase, SpanId, TraceId, TraceSpan};
+use csar_obs::trace::TraceSpan;
 use csar_obs::{Ctr, Gauge, Hist, MetricsRegistry, Snapshot};
 use csar_parity::ParityAccumulator;
 use csar_sim::{HwProfile, Op, RunStats, SimCluster};
@@ -125,32 +123,6 @@ pub fn registry_alloc_audit(ops: u64) -> RecordAudit {
             sink ^= record_one(&reg);
         }
         sink
-    });
-    RecordAudit { ops, warmup_allocs, steady_allocs }
-}
-
-/// Count heap allocations per [`MetricsRegistry::record_trace`] on a
-/// warm registry, with tracing `on` or off. Off is the request-path
-/// default (a single relaxed load); on stamps the preallocated span
-/// ring through a seqlock. Steady state must be zero either way.
-pub fn trace_record_alloc_audit(ops: u64, on: bool) -> RecordAudit {
-    let reg = MetricsRegistry::new();
-    reg.set_enabled(true);
-    reg.set_tracing(on);
-    let span = TraceSpan {
-        trace: TraceId(7),
-        span: SpanId(9),
-        parent: SpanId(1),
-        phase: Phase::Service,
-        start_ns: 1_000,
-        dur_ns: 250,
-        aux: 3,
-    };
-    let (_, warmup_allocs) = alloc_count::count(|| reg.record_trace(&span));
-    let (_, steady_allocs) = alloc_count::count(|| {
-        for i in 0..ops {
-            reg.record_trace(&TraceSpan { start_ns: i, ..span });
-        }
     });
     RecordAudit { ops, warmup_allocs, steady_allocs }
 }
@@ -336,8 +308,6 @@ pub struct Ledger {
     pub ops: u64,
     pub fold: AllocAudit,
     pub registry: RecordAudit,
-    pub record_trace_off: RecordAudit,
-    pub record_trace_on: RecordAudit,
     pub cases: Vec<CaseCost>,
 }
 
@@ -348,8 +318,6 @@ pub fn ledger(ops: u64) -> Ledger {
         ops,
         fold: whole_group_alloc_audit(5, 64 * 1024, 256),
         registry: registry_alloc_audit(4096),
-        record_trace_off: trace_record_alloc_audit(4096, false),
-        record_trace_on: trace_record_alloc_audit(4096, true),
         cases: cases().map(|(scheme, shape)| case_cost(scheme, shape, ops)).collect(),
     }
 }
@@ -403,8 +371,6 @@ impl Ledger {
                 Json::obj([
                     ("fold", fold(&self.fold)),
                     ("registry", record(&self.registry)),
-                    ("record_trace_off", record(&self.record_trace_off)),
-                    ("record_trace_on", record(&self.record_trace_on)),
                 ]),
             ),
             ("cases", Json::Arr(cases.collect())),
@@ -436,6 +402,7 @@ pub fn sample_traced_spans(scale: f64) -> Vec<TraceSpan> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use csar_obs::trace::Phase;
 
     /// Measured ops per case in the tests: one pass over the windows.
     const TEST_OPS: u64 = WINDOWS;
@@ -458,20 +425,6 @@ mod tests {
     fn registry_recording_is_allocation_free() {
         let audit = registry_alloc_audit(4096);
         assert_eq!(audit.steady_allocs, 0, "metric recording must not allocate");
-    }
-
-    /// The disabled path sits on the zero-allocation request path.
-    #[test]
-    fn disabled_trace_recording_is_allocation_free() {
-        let audit = trace_record_alloc_audit(4096, false);
-        assert_eq!(audit.steady_allocs, 0, "tracing-off recording must not allocate");
-    }
-
-    /// Enabled recording stamps a preallocated ring: also heap-free.
-    #[test]
-    fn enabled_trace_recording_is_allocation_free() {
-        let audit = trace_record_alloc_audit(4096, true);
-        assert_eq!(audit.steady_allocs, 0, "tracing-on recording must not allocate");
     }
 
     /// Phantom or real payloads only change host-side byte handling: the

@@ -98,9 +98,12 @@ impl Executor for Wire<'_> {
             self.tx.push((req_id, Response::Err(CsarError::ServerDown(srv)), None));
         } else {
             // Queued unrung: `run_op` rings once the engine call is over.
+            // A traced request's server queue wait starts here.
+            let queued_ns = if req.trace_ctx().is_some() { self.now_ns() } else { 0 };
             let (from, reply_to) = (self.h.id, Arc::clone(&self.tx));
             let w = self.h.inner.inbox_of(srv);
-            if !self.h.inner.inboxes[w].queue(ServerMsg::Req { srv, from, req_id, req, reply_to }) {
+            let msg = ServerMsg::Req { srv, from, req_id, req, reply_to, queued_ns };
+            if !self.h.inner.inboxes[w].queue(msg) {
                 return Err(CsarError::Transport(format!("server {srv} is shut down")));
             }
             self.unrung |= 1 << w;
@@ -165,7 +168,7 @@ impl Handle {
     /// computes first, then replies off the wire until its next
     /// deadline (one past what `Instant` can hold waits forever). After
     /// every engine call, each worker it queued requests to is rung
-    /// once. A `traced` op (while the cluster's tracing gate is on) gets
+    /// once. A `traced` op (while the cluster's tracing flag is on) gets
     /// one causal tree — client phases, wire RTTs and server piggybacks
     /// — retained in the flight recorder, which is dumped automatically
     /// if the op dies with [`CsarError::Timeout`].
@@ -177,7 +180,7 @@ impl Handle {
         let spare = self.spare.lock().unwrap_or_else(PoisonError::into_inner).take();
         let (mut eng, tx) = spare.unwrap_or_else(|| (OpEngine::default(), Arc::new(Mailbox::new())));
         let mut wire = Wire { h: self, tx, computed: VecDeque::new(), unrung: 0 };
-        let trace = (traced && self.inner.obs.tracing_enabled()).then(next_trace_id);
+        let trace = (traced && self.inner.tracing.load(Ordering::Relaxed)).then(next_trace_id);
         let t = self.transport();
         let timeout_ns = u64::try_from(t.reply_timeout.as_nanos()).unwrap_or(u64::MAX);
         let cfg = EngineConfig { window: t.window, timeout_ns, retries: t.retries, backoff: t.backoff, barrier: false };
@@ -209,9 +212,6 @@ impl Handle {
             *self.spare.lock().unwrap_or_else(PoisonError::into_inner) = Some((eng, wire.tx));
         }
         if !spans.is_empty() {
-            for s in &spans {
-                self.inner.obs.record_trace(s);
-            }
             self.inner.record_flight(spans);
             if let Err(CsarError::Timeout { server, .. }) = &res {
                 let dump = self.inner.dump_flight("timeout", Some(*server));
@@ -467,13 +467,6 @@ impl File {
     pub fn scrub(&self) -> Result<ScrubReport, CsarError> {
         let scrub = Scrub::new(vec![self.meta()], self.handle.inner.failed());
         Ok(self.handle.run_task(scrub)?.report)
-    }
-
-    /// Drop this file from every server's page-cache model (the paper's
-    /// "contents have been removed from the cache" overwrite setup).
-    pub fn evict_caches(&self) -> Result<(), CsarError> {
-        let replies = self.on_every_server(|hdr| Request::EvictFile { hdr })?;
-        replies.into_iter().try_for_each(|r| r.into_done().map(drop))
     }
 
     /// Run the §6.7 overflow compaction on every server.

@@ -40,6 +40,9 @@ pub(crate) struct Inner {
     /// reconstructions, per-op latency, cleaner/scrubber); each server
     /// keeps its own registry.
     pub obs: MetricsRegistry,
+    /// Whether ops are traced: read by each client op as it begins and
+    /// by each server worker per request; shared with the workers.
+    pub tracing: Arc<AtomicBool>,
     /// Common time origin for every span timestamp in this cluster:
     /// client engines and server workers all report nanoseconds since
     /// this instant, so one op's spans stitch onto a single axis.
@@ -134,12 +137,13 @@ impl Cluster {
         let inboxes: Vec<Arc<Mailbox<ServerMsg>>> = (0..workers).map(|_| Arc::new(Mailbox::new())).collect();
         let mut threads = Vec::with_capacity(workers + 1);
         let epoch = Instant::now();
+        let tracing = Arc::new(AtomicBool::new(false));
         for (w, inbox) in inboxes.iter().enumerate() {
             let hosted = shared.iter().skip(w).step_by(workers).map(Arc::clone).collect();
-            let inbox = Arc::clone(inbox);
+            let (inbox, tracing) = (Arc::clone(inbox), Arc::clone(&tracing));
             threads.push(std::thread::Builder::new()
                 .name(format!("csar-iod-w{w}"))
-                .spawn(move || run_worker(inbox, hosted, workers as u32, epoch))
+                .spawn(move || run_worker(inbox, hosted, workers as u32, epoch, tracing))
                 .expect("spawn server worker"));
         }
         let mgr_inbox = Arc::new(Mailbox::new());
@@ -158,6 +162,7 @@ impl Cluster {
                 servers: n,
                 transport: Mutex::new(TransportConfig::default()),
                 obs: MetricsRegistry::new(),
+                tracing,
                 epoch,
                 flight: Mutex::new(VecDeque::with_capacity(FLIGHT_RING)),
                 last_dump: Mutex::new(None),
@@ -253,18 +258,15 @@ impl Cluster {
         }
     }
 
-    /// Turn causal tracing on or off everywhere: the client-side
-    /// registry (which gates the engine's per-op tracer and the flight
-    /// recorder) and every server's registry (which gates
-    /// queue/lock/service span emission and piggybacking).
+    /// Turn causal tracing on or off for ops that begin afterwards: one
+    /// flag, read by the clients (each traced op's span tree goes to the
+    /// flight recorder) and by the server workers (queue/lock/service
+    /// spans piggybacked on replies).
     ///
     /// Independent of [`Cluster::set_metrics_enabled`]: tracing defaults
     /// to off so the metrics-on hot path stays allocation-free.
     pub fn set_tracing(&self, on: bool) {
-        self.inner.obs.set_tracing(on);
-        for srv in 0..self.servers() {
-            self.with_server(srv, |s| s.obs.set_tracing(on));
-        }
+        self.inner.tracing.store(on, Ordering::Relaxed);
     }
 
     /// Dump the flight recorder on demand: a JSON document holding the
@@ -510,6 +512,69 @@ mod tests {
             assert_eq!(report.groups_checked, groups, "{workers} workers: every group holds real data");
         }
         Observed { bytes, degraded, requests }
+    }
+
+    /// A traced request's server queue wait starts when its client
+    /// queues it. One worker hosts both servers and is stuck on server
+    /// 0's held engine, so a read sent to server 1 meanwhile waits in
+    /// the worker's mailbox: that wait is the read's `srv_queue`, nested
+    /// in its `wire_rtt`.
+    #[test]
+    fn srv_queue_starts_when_the_client_queues_the_request() {
+        use csar_obs::trace::{build_trees, Phase};
+        use csar_obs::Gauge;
+        use std::time::Duration;
+        const UNIT: u64 = 512;
+        const HOLD: Duration = Duration::from_millis(100);
+        let engines = (0..2).map(|id| IoServer::new(id, ServerConfig::default())).collect();
+        let cluster = Cluster::spawn_engines(engines, Manager::new(), 1);
+        let f = cluster.client().create("queued", Scheme::Raid0, UNIT).expect("create");
+        f.write_at(0, &[7; 2 * UNIT as usize]).expect("write");
+        let layout = f.meta().layout;
+        let block_on = |srv| (0..2).find(|&b| layout.home_server(b) == srv).expect("a block per server");
+        let read = |srv| assert_eq!(f.read_at(block_on(srv) * UNIT, UNIT).expect("read"), [7; UNIT as usize]);
+        // A request is in the worker's mailbox once the client counts
+        // it in flight.
+        let queued = |n| {
+            while cluster.obs().gauge(Gauge::EngInFlight) < n {
+                std::thread::yield_now();
+            }
+        };
+        cluster.set_tracing(true);
+        let guard = cluster.hold_server(0);
+        std::thread::scope(|s| {
+            s.spawn(|| read(0));
+            queued(1);
+            // Let the worker take server 0's read and stall on its engine
+            // before the second read arrives (taken together, both
+            // would wait in the backlog from the same moment).
+            std::thread::sleep(Duration::from_millis(20));
+            s.spawn(|| read(1));
+            queued(2);
+            std::thread::sleep(HOLD);
+            drop(guard);
+        });
+        cluster.set_tracing(false);
+        let flights = cluster.flight_spans();
+        assert_eq!(flights.len(), 2, "both reads are traced");
+        let rtt = flights
+            .iter()
+            .flat_map(|spans| build_trees(spans))
+            .flat_map(|op| op.children)
+            .find(|c| c.span.phase == Phase::WireRtt && c.span.aux == 1)
+            .expect("the read of server 1");
+        let queue = rtt.children.iter().find(|c| c.span.phase == Phase::SrvQueue).expect("srv_queue span");
+        assert!(
+            queue.span.dur_ns >= HOLD.as_nanos() as u64 / 2,
+            "srv_queue {} ns must cover the wait behind the held worker ({HOLD:?})",
+            queue.span.dur_ns
+        );
+        assert!(
+            queue.span.start_ns >= rtt.span.start_ns && queue.span.end_ns() <= rtt.span.end_ns(),
+            "srv_queue {:?} must nest in wire_rtt {:?}",
+            queue.span,
+            rtt.span
+        );
     }
 
     #[test]

@@ -7,6 +7,7 @@ use csar_core::server::{Effect, IoServer};
 use csar_obs::trace::{Phase, TraceSpan};
 use csar_obs::Gauge;
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
@@ -37,19 +38,20 @@ type ReqKey = (ServerId, u32, u64);
 /// reply mailbox of every in-flight request keyed by `(server, client,
 /// req_id)`.
 ///
-/// When tracing is enabled on an engine's registry, the worker times
-/// each traced request's queue wait (arrival to dispatch) and service
-/// (the `handle_at` call) and piggybacks the spans — plus any §5.1
-/// `lock_wait` span the engine attached to a woken reply — on the reply
-/// tuple; untraced, it reads no clock. The executor owns the clock: the
-/// engine state machine itself never reads time, it only receives
-/// `now_ns` (so the sim can replay the same state machine under a
-/// virtual clock).
+/// While the cluster's `tracing` flag is on, the worker times each
+/// traced request's queue wait (from when the client queued it to
+/// dispatch) and service (the `handle_at` call) and piggybacks the
+/// spans — plus any §5.1 `lock_wait` span the engine attached to a
+/// woken reply — on the reply tuple; untraced, it reads no clock. The
+/// executor owns the clock: the engine state machine itself never reads
+/// time, it only receives `now_ns` (so the sim can replay the same
+/// state machine under a virtual clock).
 pub(crate) fn run_worker(
     inbox: Arc<Mailbox<ServerMsg>>,
     engines: Vec<SharedServer>,
     workers: u32,
     epoch: Instant,
+    tracing: Arc<AtomicBool>,
 ) {
     let mut pending: HashMap<ReqKey, ReplySender> = HashMap::new();
     // Queue-wait spans of requests parked on a parity lock: computed at
@@ -59,18 +61,11 @@ pub(crate) fn run_worker(
     // Before each dispatch the loop moves everything in the mailbox into
     // a local backlog under one lock (waiting only when the backlog is
     // empty); the backlog's depth, over every server this worker hosts,
-    // is what the queue-depth gauge reports. When a message taken
-    // carries a trace context, each entry keeps the time it was taken
-    // for the `srv_queue` trace phase.
-    let mut taken: VecDeque<ServerMsg> = VecDeque::new();
-    let mut backlog: VecDeque<(ServerMsg, Option<Instant>)> = VecDeque::new();
+    // is what the queue-depth gauge reports.
+    let mut backlog: VecDeque<ServerMsg> = VecDeque::new();
     loop {
-        inbox.drain_into(backlog.is_empty(), &mut taken);
-        let traced_msg = |m: &ServerMsg| matches!(m, ServerMsg::Req { req, .. } if req.trace_ctx().is_some());
-        let now = taken.iter().any(traced_msg).then(Instant::now);
-        backlog.extend(taken.drain(..).map(|msg| (msg, now)));
-        let Some((ServerMsg::Req { srv, from, req_id, req, reply_to }, arrived_at)) = backlog.pop_front()
-        else {
+        inbox.drain_into(backlog.is_empty(), &mut backlog);
+        let Some(ServerMsg::Req { srv, from, req_id, req, reply_to, queued_ns }) = backlog.pop_front() else {
             break; // `Shutdown`
         };
         pending.insert((srv, from, req_id), reply_to);
@@ -81,38 +76,36 @@ pub(crate) fn run_worker(
         debug_assert_eq!(engine.id, srv);
         // Backlog plus the request in service.
         engine.obs.gauge_set(Gauge::SrvQueueDepth, backlog.len() as u64 + 1);
-        let traced = engine.obs.tracing_enabled();
+        let traced = tracing.load(Ordering::Relaxed);
         let dispatch_ns = if traced { ns_since(epoch, Instant::now()) } else { 0 };
         let effects = engine.handle_at(from, req_id, req, dispatch_ns);
         let done_ns = if traced { ns_since(epoch, Instant::now()) } else { 0 };
-        let queue_span = ctx.zip(arrived_at).filter(|_| traced).map(|(c, at)| {
-            TraceSpan::server(c, Phase::SrvQueue, ns_since(epoch, at), dispatch_ns, srv)
-        });
+        let queue_span = ctx
+            .filter(|_| traced)
+            .map(|c| TraceSpan::server(c, Phase::SrvQueue, queued_ns, dispatch_ns, srv));
         let mut replied_current = false;
         for Effect::Reply { to, req_id: rid, resp, trace, lock_wait, .. } in effects {
+            let key = (srv, to, rid);
+            let current = to == from && rid == req_id;
+            // A parked request woken by this unlock had its queue wait
+            // stamped at its own dispatch; its entry goes whether or not
+            // tracing is still on.
+            let queued = if current { queue_span } else { held_spans.remove(&key) };
+            replied_current |= current;
             // An op that already ended drops the reply with its last
             // handle.
-            let Some(tx) = pending.remove(&(srv, to, rid)) else { continue };
+            let Some(tx) = pending.remove(&key) else { continue };
             let mut spans: Vec<TraceSpan> = Vec::new();
-            if to == from && rid == req_id {
-                replied_current = true;
-                spans.extend(queue_span);
-            } else if traced {
-                // A parked request woken by this unlock; its own queue
-                // wait was stamped at its dispatch.
-                spans.extend(held_spans.remove(&(srv, to, rid)));
+            if traced {
+                spans.extend(queued);
+                if let Some(c) = trace {
+                    // Service time: for a woken waiter this is the slice
+                    // of the unlocking dispatch that served its deferred
+                    // read.
+                    spans.push(TraceSpan::server(c, Phase::Service, dispatch_ns, done_ns, srv));
+                }
+                spans.extend(lock_wait);
             }
-            if let Some(c) = trace.filter(|_| traced) {
-                // Service time: for a woken waiter this is the slice of
-                // the unlocking dispatch that served its deferred read.
-                spans.push(TraceSpan::server(c, Phase::Service, dispatch_ns, done_ns, srv));
-            }
-            // Mirror the spans into this server's own trace ring so a
-            // `GetStats` scrape sees them too; `lock_wait` is already
-            // there (`handle_at` recorded it) and only needs
-            // piggybacking.
-            spans.iter().for_each(|s| engine.obs.record_trace(s));
-            spans.extend(lock_wait.filter(|_| traced));
             let batch: ReplyTrace = (!spans.is_empty()).then(|| spans.into_boxed_slice());
             tx.push((rid, resp, batch));
         }
@@ -120,7 +113,6 @@ pub(crate) fn run_worker(
             // Parked on the parity lock: keep the queue-wait span until
             // the wake produces the reply.
             held_spans.insert((srv, from, req_id), s);
-            engine.obs.record_trace(&s);
         }
     }
 }

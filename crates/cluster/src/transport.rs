@@ -163,13 +163,16 @@ pub(crate) type ReplySender = Arc<Mailbox<(u64, Response, ReplyTrace)>>;
 pub(crate) enum ServerMsg {
     /// A client request to server `srv`; the reply goes back through
     /// `reply_to` tagged with `req_id`. The worker retains `reply_to`
-    /// for requests parked on a parity lock.
+    /// for requests parked on a parity lock. `queued_ns` is when the
+    /// client queued a traced request (cluster-epoch ns, the start of
+    /// its `srv_queue` span); 0 for an untraced one.
     Req {
         srv: ServerId,
         from: ClientId,
         req_id: u64,
         req: Request,
         reply_to: ReplySender,
+        queued_ns: u64,
     },
     /// Stop the worker.
     Shutdown,

@@ -695,6 +695,8 @@ fn tracing_stitches_client_and_server_phases_into_one_tree() {
     let cluster = Cluster::spawn(n, cfg());
     let client = cluster.client();
     let f = client.create("traced", Scheme::Raid5, unit).unwrap();
+    f.write_at(0, &pattern((n as usize - 1) * unit as usize, 20)).unwrap();
+    assert!(cluster.flight_spans().is_empty(), "tracing is off by default");
     cluster.set_tracing(true);
     f.write_at(0, &pattern((n as usize - 1) * unit as usize, 21)).unwrap();
     let data = f.read_at(0, unit).unwrap();
@@ -737,6 +739,51 @@ fn tracing_stitches_client_and_server_phases_into_one_tree() {
     });
     assert_eq!(ops, 2);
     assert_eq!(cluster.last_flight_dump().as_deref(), Some(dump.as_str()));
+    cluster.shutdown();
+}
+
+/// §5.1 on the live cluster: a traced one-block overwrite that parks
+/// on a held parity lock gets its lock wait, queue wait and service
+/// back under its round trip to the parity server.
+#[test]
+fn parked_overwrite_traces_its_lock_wait() {
+    use csar_obs::trace::{build_trees, Phase};
+    use csar_obs::Gauge;
+    let unit = 512u64;
+    let cluster = Cluster::spawn(4, cfg());
+    let client = cluster.client();
+    let f = client.create("locked", Scheme::Raid5, unit).unwrap();
+    f.write_at(0, &pattern(3 * unit as usize, 51)).unwrap();
+    let meta = f.meta();
+    let psrv = meta.layout.parity_server(0);
+    let hdr = ReqHeader::new(meta.fh, meta.layout, meta.scheme);
+    cluster.set_tracing(true);
+    let lock = Request::ParityReadLock { hdr, group: 0, intra: 0, len: unit };
+    let parity = client.send_raw(psrv, lock).unwrap().into_payload().unwrap();
+    std::thread::scope(|scope| {
+        let writer = scope.spawn(|| f.write_at(unit, &pattern(unit as usize, 52)).unwrap());
+        while cluster.with_server(psrv, |s| s.obs.gauge(Gauge::SrvParkedWaiters)) == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Release with the parity the lock read returned: unchanged.
+        let unlock = Request::ParityWriteUnlock { hdr, group: 0, intra: 0, payload: parity };
+        client.send_raw(psrv, unlock).unwrap().into_done().unwrap();
+        writer.join().unwrap();
+    });
+    cluster.set_tracing(false);
+
+    let flights = cluster.flight_spans();
+    assert_eq!(flights.len(), 1, "only the overwrite is traced");
+    let trees = build_trees(&flights[0]);
+    assert_eq!(trees.len(), 1, "all spans of one op share one tree");
+    let has = |node: &csar_obs::trace::TraceNode, phase| node.children.iter().any(|c| c.span.phase == phase);
+    let locked = trees[0].children.iter().find(|c| {
+        c.span.phase == Phase::WireRtt
+            && c.span.aux == psrv as u64
+            && [Phase::LockWait, Phase::SrvQueue, Phase::Service].into_iter().all(|p| has(c, p))
+    });
+    assert!(locked.is_some(), "no wire_rtt to parity server {psrv} holds lock_wait, srv_queue and service");
+    assert_scrub_clean(&f);
     cluster.shutdown();
 }
 

@@ -492,17 +492,12 @@ impl IoServer {
                     self.obs.gauge_sub(Gauge::SrvParkedWaiters, 1);
                     // §5.1 grant ordering is the one latency phase only
                     // this state machine can see: the waiter parked at
-                    // `parked_at_ns` and is granted now. Emit its
-                    // lock-wait span under the *waiter's* context, both
-                    // into this server's trace ring (the extended
-                    // `GetStats` surface) and onto the reply effect for
-                    // the executor to piggyback.
+                    // `parked_at_ns` and is granted now. Its lock-wait
+                    // span, under the *waiter's* context, rides on the
+                    // reply effect for the executor to piggyback.
                     let lock_wait = next.hdr.trace.map(|cx| {
                         TraceSpan::server(cx, Phase::LockWait, next.parked_at_ns, now_ns, self.id)
                     });
-                    if let Some(s) = &lock_wait {
-                        self.obs.record_trace(s);
-                    }
                     let (resp, cost) =
                         self.do_parity_read(&next.hdr, next.group, next.intra, next.len)?;
                     let mut woken = self.reply(next.from, next.req_id, resp, cost);

@@ -1,7 +1,8 @@
 //! # csar-obs — first-party observability for the CSAR engines
 //!
-//! A hermetic, std-only metrics and tracing subsystem. Everything the
-//! running system records goes through one type, [`MetricsRegistry`]:
+//! A hermetic, std-only metrics and tracing subsystem. Every metric
+//! the running system records goes through one type,
+//! [`MetricsRegistry`]:
 //!
 //! * **Counters** ([`Ctr`]) — monotonically increasing event counts,
 //!   sharded across cache-line-padded atomic arrays so concurrent
@@ -26,21 +27,17 @@
 //! `stats` binary's output) and [`Snapshot::merge`] across servers into
 //! a cluster-wide view.
 //!
-//! On top of the aggregate metrics sits **causal tracing** (the
-//! [`trace`] module): per-operation [`trace::TraceSpan`] records land
-//! in a fixed-size ring, gated by an independent `tracing` flag
-//! that defaults *off*. With tracing disabled,
-//! [`MetricsRegistry::record_trace`] is a single relaxed load — the
-//! request path stays allocation-free and inside the PR-4 overhead
-//! budget; with tracing enabled the recording itself is still
-//! wait-free and allocation-free (callers that *assemble* trees
-//! allocate, off the hot path).
+//! Beside the aggregate metrics sits **causal tracing** (the [`trace`]
+//! module): the span types, their IDs and tree assembly. A registry
+//! holds no spans and no tracing flag. Each executor decides whether an
+//! op is traced; the completion engine collects the op's spans, server
+//! spans ride back on replies, and the executor keeps them (the live
+//! cluster's flight recorder, the simulator's span buffer).
 
 pub mod trace;
 
 use csar_store::{FromJson, Json, JsonError, ToJson};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use trace::{Phase, SpanId, TraceId, TraceSpan};
 
 // ---------------------------------------------------------------------------
 // Metric identifiers
@@ -187,11 +184,6 @@ const SHARDS: usize = 8;
 /// == i` (bucket 0 is exactly zero), so bucket `i` spans
 /// `[2^(i-1), 2^i)`.
 const HIST_BUCKETS: usize = 64;
-/// Trace ring capacity ([`trace::TraceSpan`] records kept). A traced
-/// whole-group write on a wide layout produces a few hundred spans, so
-/// this holds the last handful of ops — enough for `GetStats` scrapes
-/// and the flight recorder's server-side view.
-pub const TRACE_RING: usize = 4096;
 
 #[repr(align(64))]
 struct Shard {
@@ -204,18 +196,6 @@ struct HistCell {
     buckets: [AtomicU64; HIST_BUCKETS],
 }
 
-struct TraceSlot {
-    /// `Phase as usize + 1`; 0 marks an empty slot. Stored last so a
-    /// concurrent reader never observes a half-written slot as live.
-    phase: AtomicU64,
-    trace: AtomicU64,
-    span: AtomicU64,
-    parent: AtomicU64,
-    start_ns: AtomicU64,
-    dur_ns: AtomicU64,
-    aux: AtomicU64,
-}
-
 /// The sharded, lock-free metrics registry.
 ///
 /// One instance lives in every `IoServer` and one on each executor's
@@ -225,13 +205,9 @@ struct TraceSlot {
 /// allocates.
 pub struct MetricsRegistry {
     enabled: AtomicBool,
-    /// Independent gate for causal tracing; defaults off.
-    tracing: AtomicBool,
     shards: Box<[Shard]>,
     gauges: [AtomicU64; Gauge::COUNT],
     hists: Box<[HistCell]>,
-    traces: Box<[TraceSlot]>,
-    trace_head: AtomicUsize,
 }
 
 impl Default for MetricsRegistry {
@@ -275,24 +251,11 @@ impl MetricsRegistry {
         }
         MetricsRegistry {
             enabled: AtomicBool::new(true),
-            tracing: AtomicBool::new(false),
             shards: (0..SHARDS).map(|_| Shard { counters: zeroed() }).collect(),
             gauges: zeroed(),
             hists: (0..Hist::COUNT)
                 .map(|_| HistCell { count: AtomicU64::new(0), sum: AtomicU64::new(0), buckets: zeroed() })
                 .collect(),
-            traces: (0..TRACE_RING)
-                .map(|_| TraceSlot {
-                    phase: AtomicU64::new(0),
-                    trace: AtomicU64::new(0),
-                    span: AtomicU64::new(0),
-                    parent: AtomicU64::new(0),
-                    start_ns: AtomicU64::new(0),
-                    dur_ns: AtomicU64::new(0),
-                    aux: AtomicU64::new(0),
-                })
-                .collect(),
-            trace_head: AtomicUsize::new(0),
         }
     }
 
@@ -305,19 +268,6 @@ impl MetricsRegistry {
     /// Whether recording is on.
     pub fn enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Turn causal tracing on or off, independently of the aggregate
-    /// metrics gate. Off (the default) turns [`Self::record_trace`]
-    /// into a single relaxed load, keeping the request path on the
-    /// PR-3/PR-4 zero-allocation budget.
-    pub fn set_tracing(&self, on: bool) {
-        self.tracing.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether causal tracing is on.
-    pub fn tracing_enabled(&self) -> bool {
-        self.tracing.load(Ordering::Relaxed)
     }
 
     /// Add 1 to a counter.
@@ -392,77 +342,9 @@ impl MetricsRegistry {
         cell.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record one causal trace span into the trace ring. Wait-free and
-    /// allocation-free; a single relaxed load when tracing is off.
-    #[inline]
-    pub fn record_trace(&self, s: &TraceSpan) {
-        if !self.tracing_enabled() {
-            return;
-        }
-        let i = self.trace_head.fetch_add(1, Ordering::Relaxed) % TRACE_RING;
-        let slot = &self.traces[i];
-        slot.trace.store(s.trace.0, Ordering::Relaxed);
-        slot.span.store(s.span.0, Ordering::Relaxed);
-        slot.parent.store(s.parent.0, Ordering::Relaxed);
-        slot.start_ns.store(s.start_ns, Ordering::Relaxed);
-        slot.dur_ns.store(s.dur_ns, Ordering::Relaxed);
-        slot.aux.store(s.aux, Ordering::Relaxed);
-        slot.phase.store(s.phase as u64 + 1, Ordering::Relaxed);
-    }
-
-    /// The most recent trace spans (at most [`TRACE_RING`]), oldest
-    /// first. Allocates; never called on the request path.
-    pub fn trace_spans(&self) -> Vec<TraceSpan> {
-        let head = self.trace_head.load(Ordering::Relaxed);
-        let filled = head.min(TRACE_RING);
-        let oldest = head - filled;
-        let mut out: Vec<TraceSpan> = (0..filled)
-            .filter_map(|i| {
-                let slot = &self.traces[(oldest + i) % TRACE_RING];
-                let phase = slot.phase.load(Ordering::Relaxed);
-                if phase == 0 || phase as usize > Phase::COUNT {
-                    return None;
-                }
-                let start_ns = slot.start_ns.load(Ordering::Relaxed);
-                Some(TraceSpan {
-                    trace: TraceId(slot.trace.load(Ordering::Relaxed)),
-                    span: SpanId(slot.span.load(Ordering::Relaxed)),
-                    parent: SpanId(slot.parent.load(Ordering::Relaxed)),
-                    phase: Phase::ALL[(phase - 1) as usize],
-                    start_ns,
-                    // Clamp so a torn slot (see `reset`) can never
-                    // report an end that wraps before its start.
-                    dur_ns: slot.dur_ns.load(Ordering::Relaxed).min(u64::MAX - start_ns),
-                    aux: slot.aux.load(Ordering::Relaxed),
-                })
-            })
-            .collect();
-        out.sort_by_key(|s| (s.start_ns, s.span));
-        out
-    }
-
-    /// Reset every metric to zero (trace spans included).
-    /// Gauges too: callers re-establish levels on their next transition.
-    ///
-    /// # Concurrency with `snapshot`
-    ///
-    /// `reset` is not atomic with respect to concurrent recorders or a
-    /// concurrent [`Self::snapshot`]: a snapshot racing a reset may see
-    /// a mix of cleared and still-populated slots, and a racing
-    /// recorder may leave a slot whose fields were written around the
-    /// reset (a *torn* slot — e.g. a fresh `start_ns` paired with a
-    /// stale `dur_ns` from before the ring wrapped). Two invariants
-    /// are guaranteed regardless:
-    ///
-    /// * a slot is only reported once its `phase` tag is nonzero, and
-    ///   `reset` clears tags first, so a cleared slot is skipped rather
-    ///   than reported as zeros; and
-    /// * span times are stored as `(start_ns, dur_ns)` — never as an
-    ///   absolute end — and `trace_spans` clamps `dur_ns` to
-    ///   `u64::MAX - start_ns`, so a reported span can never place its
-    ///   start after its (saturating) end, even when torn.
-    ///
-    /// `reset_snapshot_race_never_inverts_span_times` pins this.
+    /// Reset every metric to zero. Gauges too: callers re-establish
+    /// levels on their next transition. Not atomic with respect to
+    /// concurrent recorders or a concurrent [`Self::snapshot`].
     pub fn reset(&self) {
         for s in self.shards.iter() {
             for c in &s.counters {
@@ -479,10 +361,6 @@ impl MetricsRegistry {
                 b.store(0, Ordering::Relaxed);
             }
         }
-        for t in self.traces.iter() {
-            t.phase.store(0, Ordering::Relaxed);
-        }
-        self.trace_head.store(0, Ordering::Relaxed);
     }
 
     /// Freeze the registry's current state into a snapshot. The only
@@ -524,7 +402,7 @@ impl MetricsRegistry {
                 })
             })
             .collect();
-        Snapshot { counters, gauges, hists, traces: self.trace_spans() }
+        Snapshot { counters, gauges, hists }
     }
 }
 
@@ -581,9 +459,6 @@ pub struct Snapshot {
     pub gauges: Vec<(String, u64)>,
     /// Every histogram with at least one observation.
     pub hists: Vec<HistSnapshot>,
-    /// Recent causal trace spans (the extended `GetStats` surface),
-    /// oldest first; empty unless tracing was enabled.
-    pub traces: Vec<TraceSpan>,
 }
 
 impl Snapshot {
@@ -603,7 +478,7 @@ impl Snapshot {
     }
 
     /// Fold `other` into `self`: counters and gauges add, histograms
-    /// add bucket-wise, trace lists concatenate (re-sorted by start).
+    /// add bucket-wise.
     pub fn merge(&mut self, other: &Snapshot) {
         for (name, v) in &other.counters {
             match self.counters.iter_mut().find(|(n, _)| n == name) {
@@ -633,8 +508,6 @@ impl Snapshot {
                 None => self.hists.push(h.clone()),
             }
         }
-        self.traces.extend(other.traces.iter().copied());
-        self.traces.sort_by_key(|s| (s.start_ns, s.span));
     }
 
     /// The engine-side balance invariant: every transmitted request
@@ -691,7 +564,6 @@ impl ToJson for Snapshot {
             ("counters", pairs_to_json(&self.counters)),
             ("gauges", pairs_to_json(&self.gauges)),
             ("hists", hists),
-            ("traces", Json::Arr(self.traces.iter().map(ToJson::to_json).collect())),
         ])
     }
 }
@@ -731,17 +603,7 @@ impl FromJson for Snapshot {
                 Ok(HistSnapshot { name, count: h.u64_field("count")?, sum: h.u64_field("sum")?, buckets })
             })
             .collect::<Result<_, JsonError>>()?;
-        // Tolerate snapshots from before the tracing extension.
-        let traces = match j.field("traces") {
-            Ok(t) => t
-                .as_array()
-                .ok_or_else(|| JsonError("traces must be an array".into()))?
-                .iter()
-                .map(TraceSpan::from_json)
-                .collect::<Result<_, JsonError>>()?,
-            Err(_) => Vec::new(),
-        };
-        Ok(Snapshot { counters, gauges, hists, traces })
+        Ok(Snapshot { counters, gauges, hists })
     }
 }
 
@@ -818,122 +680,6 @@ mod tests {
         reg.gauge_add(Gauge::SrvQueueDepth, 2);
         reg.gauge_sub(Gauge::SrvQueueDepth, 5);
         assert_eq!(reg.gauge(Gauge::SrvQueueDepth), 0);
-    }
-
-    /// Satellite: a snapshot racing `reset` (and racing recorders) must
-    /// never report a span whose start lies after its end — the torn
-    /// slot clamp documented on [`MetricsRegistry::reset`].
-    #[test]
-    fn reset_snapshot_race_never_inverts_span_times() {
-        use std::sync::atomic::AtomicBool as StopFlag;
-        let reg = std::sync::Arc::new(MetricsRegistry::new());
-        reg.set_tracing(true);
-        let stop = std::sync::Arc::new(StopFlag::new(false));
-        let mut workers = Vec::new();
-        for w in 0..2 {
-            let reg = std::sync::Arc::clone(&reg);
-            let stop = std::sync::Arc::clone(&stop);
-            workers.push(std::thread::spawn(move || {
-                let mut i = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    reg.record_trace(&TraceSpan {
-                        trace: TraceId(1),
-                        span: SpanId(i + 1),
-                        parent: SpanId::NONE,
-                        phase: Phase::Op,
-                        start_ns: i,
-                        dur_ns: u64::MAX - (i % 7), // hostile: forces the clamp to matter
-                        aux: w,
-                    });
-                    if i.is_multiple_of(64) {
-                        reg.reset();
-                    }
-                    i += 1;
-                }
-            }));
-        }
-        for _ in 0..200 {
-            let snap = reg.snapshot();
-            for t in &snap.traces {
-                let end = t.start_ns.checked_add(t.dur_ns).expect("trace end overflowed past u64");
-                assert!(t.start_ns <= end && t.end_ns() == end);
-            }
-        }
-        stop.store(true, Ordering::Relaxed);
-        for t in workers {
-            t.join().unwrap();
-        }
-    }
-
-    #[test]
-    fn tracing_is_off_by_default_and_gated() {
-        let reg = MetricsRegistry::new();
-        let s = TraceSpan {
-            trace: TraceId(1),
-            span: SpanId(2),
-            parent: SpanId::NONE,
-            phase: Phase::WireRtt,
-            start_ns: 10,
-            dur_ns: 5,
-            aux: 3,
-        };
-        assert!(!reg.tracing_enabled());
-        reg.record_trace(&s);
-        assert!(reg.trace_spans().is_empty());
-        assert!(reg.snapshot().traces.is_empty());
-        reg.set_tracing(true);
-        reg.record_trace(&s);
-        assert_eq!(reg.trace_spans(), vec![s]);
-        assert_eq!(reg.snapshot().traces, vec![s]);
-        reg.reset();
-        assert!(reg.trace_spans().is_empty());
-    }
-
-    /// Overfill the ring and demand *exactly* the most recent
-    /// `TRACE_RING` spans, in start order, with nothing older surviving.
-    #[test]
-    fn trace_ring_wraps_and_keeps_latest() {
-        let reg = MetricsRegistry::new();
-        reg.set_tracing(true);
-        for i in 0..(TRACE_RING + 50) as u64 {
-            reg.record_trace(&TraceSpan {
-                trace: TraceId(1),
-                span: SpanId(i + 1),
-                parent: SpanId::NONE,
-                phase: Phase::Service,
-                start_ns: i,
-                dur_ns: 1,
-                aux: i,
-            });
-        }
-        let aux: Vec<u64> = reg.trace_spans().iter().map(|s| s.aux).collect();
-        let want: Vec<u64> = (50..(TRACE_RING + 50) as u64).collect();
-        assert_eq!(aux, want, "ring must keep exactly the newest TRACE_RING spans, oldest first");
-    }
-
-    #[test]
-    fn snapshot_with_traces_round_trips_and_merges() {
-        let reg = MetricsRegistry::new();
-        reg.set_tracing(true);
-        reg.inc(Ctr::SrvRequests);
-        reg.record_trace(&TraceSpan {
-            trace: TraceId(3),
-            span: SpanId(4),
-            parent: SpanId(1),
-            phase: Phase::LockWait,
-            start_ns: 7,
-            dur_ns: 2,
-            aux: 0,
-        });
-        let snap = reg.snapshot();
-        let back = Snapshot::from_json(&Json::parse(&snap.to_json().to_pretty()).unwrap()).unwrap();
-        assert_eq!(back, snap);
-        // Pre-tracing producers (no "traces" field) still parse.
-        let legacy = Json::parse(r#"{"counters": {}, "gauges": {}, "hists": [], "spans": []}"#).unwrap();
-        assert!(Snapshot::from_json(&legacy).unwrap().traces.is_empty());
-        let mut merged = snap.clone();
-        merged.merge(&snap);
-        assert_eq!(merged.traces.len(), 2);
     }
 
     #[test]

@@ -123,8 +123,10 @@ impl Phase {
     }
 }
 
-/// One flat causal span record: what the trace ring stores, what rides
-/// piggybacked on replies, and what the Chrome exporter consumes.
+/// One flat causal span record: what the completion engine collects
+/// per op, what rides piggybacked on replies, what the live flight
+/// recorder and the simulator keep, and what the Chrome exporter
+/// consumes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceSpan {
     /// The owning trace.

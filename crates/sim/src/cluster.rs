@@ -376,15 +376,11 @@ impl SimCluster {
     }
 
     /// Enable deterministic causal tracing: every subsequent op emits a
-    /// span tree on the virtual clock ([`SimCluster::take_traces`]).
-    /// Also flips the tracing gate on every simulated server registry,
-    /// so §5.1 lock-wait spans reach the engines' trace rings exactly as
-    /// in a live cluster.
+    /// span tree on the virtual clock into this cluster's span buffer
+    /// ([`SimCluster::take_traces`]), server queue, §5.1 lock-wait and
+    /// service spans included.
     pub fn set_tracing(&mut self, on: bool) {
         self.tracing = on;
-        for s in &mut self.servers {
-            s.obs.set_tracing(on);
-        }
     }
 
     /// Drain every span emitted since the last call (event order, which
@@ -952,8 +948,10 @@ mod tests {
     fn tracing_is_deterministic_and_spans_nest() {
         let run = || {
             let mut s = sim(5, 2);
-            s.set_tracing(true);
             let f = s.create_file("f", Scheme::Raid5, 32 * 1024);
+            s.run_phase(vec![(0, vec![Op::Read { file: f, off: 0, len: 32 * 1024 }])]);
+            assert!(s.take_traces().is_empty(), "tracing is off by default");
+            s.set_tracing(true);
             // Overlapping partial writes on a shared stripe so §5.1
             // lock-wait spans show up too.
             let phase: Phase = (0..2usize)

@@ -52,8 +52,8 @@ cargo run -q --release -p csar-bench --bin figures -- --bench pipeline --bench-j
 same BENCH_pipeline.json "$scratch/pipeline.json"
 # Cost ledger: exact requests, bytes, virtual time, metric counters,
 # heap allocations and spans per case, plus the allocation audits of
-# the parity fold, metric recording and record_trace (each must stay at
-# zero steady-state allocations, and every other count must match too).
+# the parity fold and metric recording (each must stay at zero
+# steady-state allocations, and every other count must match too).
 # Regenerate it with `figures --bench cost` when a change is meant to
 # move a count, or when the Rust toolchain changes.
 cargo run -q --release -p csar-bench --bin figures -- --bench cost --bench-json "$scratch/cost.json" > /dev/null
@@ -76,7 +76,8 @@ grep -q '"traceEvents"' "$scratch/chrome_trace.json" || {
 }
 echo "tier1: trace exporter: spans nest, Chrome JSON round-trips (gate ok)"
 # Live-cluster metrics smoke: the stats binary runs a mixed workload on
-# a threaded cluster, scrapes every node through GetStats, and exits
+# a threaded cluster, scrapes every node's metrics (counters, gauges,
+# histograms; snapshots hold no spans) through GetStats, and exits
 # nonzero unless the merged snapshot parses back bit-for-bit and the
 # engine balance invariant (issued == delivered + retried + timeouts +
 # abandoned) holds. --json-out exercises the snapshot file path that
