@@ -6,7 +6,9 @@
 //! request); `n = 5` is the fan-out of a 5-server full-stripe write.
 //! `mailbox` and `mpsc` run each server on its own thread; `shared`
 //! queues all `n` requests to one worker thread hosting every server and
-//! rings it once, as the cluster does when it runs on one CPU.
+//! rings it once; `inline` queues them to the same worker mailbox, then
+//! the op's own thread drains it, serves them and pops the replies, as
+//! the cluster does on one CPU.
 //! EXPERIMENTS.md, "Mailbox transport", has the numbers.
 
 use csar_bench::crit as criterion;
@@ -69,6 +71,21 @@ fn bench_transport(c: &mut Criterion) {
                 })
             });
             worker.push(None);
+        });
+
+        group.bench_function(format!("inline/{n}"), |b| {
+            let mut taken = VecDeque::new();
+            b.iter(|| {
+                let reply = Arc::new(Mailbox::new());
+                for i in 0..n {
+                    worker.queue(Some((black_box(i), Arc::clone(&reply))));
+                }
+                worker.drain_into(false, &mut taken);
+                for (v, to) in taken.drain(..).flatten() {
+                    to.push(v);
+                }
+                (0..n).map(|_| reply.pop(None).expect("no deadline")).sum::<u64>()
+            })
         });
 
         let (txs, rxs): (Vec<mpsc::Sender<ChanReq>>, Vec<_>) = (0..n).map(|_| mpsc::channel()).unzip();

@@ -6,7 +6,10 @@
 //! supplies the mailbox transport: sends, a wait until the engine's
 //! next deadline, `ServerDown` answers for failed servers
 //! (issued and delivered like any reply), the `eng_*` counters and the
-//! flight recorder.
+//! flight recorder. After each engine call the op rings every server
+//! worker it queued requests to except the last, which it serves on its
+//! own thread unless another thread already is (`node.rs`), so a round
+//! trip to an idle worker costs no thread handoff.
 
 use crate::deploy::Inner;
 use crate::transport::{Mailbox, MgrMsg, ReplySender, ServerMsg};
@@ -76,13 +79,24 @@ struct Wire<'h> {
 
 impl Wire<'_> {
     /// Wake each worker a request was queued to since the last ring,
-    /// once however many it got.
+    /// once however many it got, except the last: this op's thread
+    /// serves that one itself, unless another thread already is (see
+    /// `node.rs`). On one CPU there is one worker, so a round trip
+    /// costs no thread handoff; a fan-out's other workers run in
+    /// parallel meanwhile.
     fn ring(&mut self) {
+        if self.unrung == 0 {
+            return;
+        }
+        let last = (u64::BITS - 1 - self.unrung.leading_zeros()) as usize;
+        self.unrung ^= 1 << last;
         while self.unrung != 0 {
             let w = self.unrung.trailing_zeros();
             self.unrung &= self.unrung - 1;
             self.h.inner.inboxes[w as usize].ring();
         }
+        let inner = &self.h.inner;
+        inner.workers[last].serve_inline(&inner.inboxes[last], &self.tx);
     }
 }
 

@@ -1,7 +1,7 @@
 //! Cluster lifecycle: spawn, failure injection, rebuild, shutdown.
 
 use crate::client::{ClusterClient, Handle, TransportConfig};
-use crate::node::{run_manager, run_worker, SharedServer};
+use crate::node::{run_manager, SharedServer, Worker};
 use crate::transport::{Mailbox, MgrMsg, ServerMsg};
 use csar_core::client::maintain::Rebuild;
 use csar_core::manager::{FileMeta, Manager};
@@ -30,6 +30,10 @@ pub(crate) struct Inner {
     /// Each server worker's request mailbox; server `s` is hosted by
     /// worker `s % inboxes.len()` (see [`Inner::inbox_of`]).
     pub inboxes: Vec<Arc<Mailbox<ServerMsg>>>,
+    /// Each server worker, served by its own thread or inline by a
+    /// client op (`Worker::serve_inline`); `workers[w]` serves
+    /// `inboxes[w]`.
+    pub workers: Vec<Arc<Worker>>,
     pub mgr_inbox: Arc<Mailbox<MgrMsg>>,
     pub shared: Vec<SharedServer>,
     pub down: Vec<AtomicBool>,
@@ -107,8 +111,11 @@ fn cpu_workers(servers: u32) -> usize {
 
 /// A running in-process CSAR cluster.
 ///
-/// Runs `n` I/O server engines on one worker thread per CPU (at most
-/// one per server) and a manager thread. Cheap to share:
+/// Runs `n` I/O server engines on one worker per CPU (at most one per
+/// server) and a manager thread. Each worker has a thread of its own,
+/// but an op serves the last worker it sends to on its own thread when
+/// no other thread is serving it, so on one CPU a round trip costs no
+/// thread handoff. Cheap to share:
 /// [`Cluster::client`] hands out independent client handles that can be
 /// used from separate threads concurrently.
 pub struct Cluster {
@@ -138,12 +145,17 @@ impl Cluster {
         let mut threads = Vec::with_capacity(workers + 1);
         let epoch = Instant::now();
         let tracing = Arc::new(AtomicBool::new(false));
-        for (w, inbox) in inboxes.iter().enumerate() {
-            let hosted = shared.iter().skip(w).step_by(workers).map(Arc::clone).collect();
-            let (inbox, tracing) = (Arc::clone(inbox), Arc::clone(&tracing));
+        let hosts: Vec<Arc<Worker>> = (0..workers)
+            .map(|w| {
+                let hosted = shared.iter().skip(w).step_by(workers).map(Arc::clone).collect();
+                Arc::new(Worker::new(hosted, workers as u32, epoch, Arc::clone(&tracing)))
+            })
+            .collect();
+        for (w, (inbox, worker)) in inboxes.iter().zip(&hosts).enumerate() {
+            let (inbox, worker) = (Arc::clone(inbox), Arc::clone(worker));
             threads.push(std::thread::Builder::new()
                 .name(format!("csar-iod-w{w}"))
-                .spawn(move || run_worker(inbox, hosted, workers as u32, epoch, tracing))
+                .spawn(move || worker.run(&inbox))
                 .expect("spawn server worker"));
         }
         let mgr_inbox = Arc::new(Mailbox::new());
@@ -155,6 +167,7 @@ impl Cluster {
         Cluster {
             inner: Arc::new(Inner {
                 inboxes,
+                workers: hosts,
                 mgr_inbox,
                 shared,
                 down: (0..n).map(|_| AtomicBool::new(false)).collect(),
@@ -293,7 +306,10 @@ impl Cluster {
 
     /// Hold server `id`'s engine mutex, stalling the worker that hosts
     /// it at its next request for `id` until the guard is dropped; every
-    /// other server on that worker stalls with it. Tests use this to
+    /// other server on that worker stalls with it. An op never waits for
+    /// a held engine on its own thread: it hands the request to the
+    /// worker's thread, which waits, so the op's deadline runs as usual
+    /// (even for an op on the guard's own thread). Tests use this to
     /// force a [`CsarError::Timeout`] attributable to a specific slow
     /// server — unlike [`Cluster::fail_server`], the server is *slow*,
     /// not down, so clients keep waiting on it.
@@ -577,10 +593,57 @@ mod tests {
         );
     }
 
+    /// Two workers host the five servers, so a fan-out rings one worker
+    /// thread and serves the other on the op's own thread.
     #[test]
     fn one_worker_and_one_per_server_run_a_mixed_script_alike() {
         let one = mixed_script(1);
         assert_eq!(one.degraded, one.bytes, "a degraded read returns the written bytes");
+        assert_eq!(mixed_script(2), one);
         assert_eq!(mixed_script(5), one);
+    }
+
+    /// On one idle worker an op serves its own request on its own
+    /// thread. A request to a held server goes back to the worker's
+    /// thread, uncounted, and completes once the guard drops.
+    #[test]
+    fn an_op_serves_an_idle_worker_on_its_own_thread() {
+        use csar_obs::Ctr;
+        const UNIT: u64 = 512;
+        const OPS: u64 = 20;
+        let engines = (0..2).map(|id| IoServer::new(id, ServerConfig::default())).collect();
+        let cluster = Cluster::spawn_engines(engines, Manager::new(), 1);
+        let f = cluster.client().create("inline", Scheme::Raid0, UNIT).expect("create");
+        let inline = || {
+            (0..2).map(|srv| cluster.with_server(srv, |s| s.obs.counter(Ctr::SrvServedInline))).sum::<u64>()
+        };
+        for i in 0..OPS {
+            // One block: one request.
+            f.write_at(i * UNIT, &[i as u8; UNIT as usize]).expect("write");
+        }
+        assert_eq!(f.op_stats().requests, OPS, "one request per op");
+        assert_eq!(inline(), OPS, "every request served on its op's thread");
+        // Nothing has woken the worker's thread yet: every request so far
+        // was served inline. Only the hand-back below wakes it.
+        let inbox = &cluster.inner.inboxes[0];
+        while !inbox.has_waiter() {
+            std::thread::yield_now();
+        }
+        let guard = cluster.hold_server(0);
+        std::thread::scope(|s| {
+            let read = s.spawn(|| f.read_at(0, UNIT).expect("read"));
+            let t0 = std::time::Instant::now();
+            while inbox.has_waiter() {
+                assert!(
+                    t0.elapsed().as_secs() < 10,
+                    "the held server's request never reached the worker's thread"
+                );
+                std::thread::yield_now();
+            }
+            assert!(!read.is_finished(), "the held server cannot answer");
+            drop(guard);
+            assert_eq!(read.join().expect("reader"), [0; UNIT as usize]);
+        });
+        assert_eq!(inline(), OPS, "the held server's request went to the worker's thread");
     }
 }

@@ -7,16 +7,22 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// A many-producer, one-consumer queue: a `Mutex<VecDeque>` plus a
-/// `Condvar`. Every channel of the live cluster is one of these: each
-/// server worker's and the manager's request queue, and each
-/// operation's reply queue.
+/// A many-producer queue with at most one waiting consumer: a
+/// `Mutex<VecDeque>` plus a `Condvar`. Every channel of the live
+/// cluster is one of these: each server worker's and the manager's
+/// request queue, and each operation's reply queue.
 ///
 /// A producer wakes the consumer only when it is blocked waiting (the
 /// waiter count kept under the lock), so a message to a consumer that
 /// is still running costs no wake-up. [`Mailbox::queue`] appends
 /// without waking at all; a producer that queues several messages rings
 /// once with [`Mailbox::ring`] when it is done.
+///
+/// A server worker's mailbox is drained by whichever thread serves the
+/// worker (its own, or inline a client op's; see `node.rs`), but only
+/// the worker's own thread ever waits on it ([`Mailbox::wait_for_mail`]),
+/// so there is still one waiter at most. An inline server that must
+/// stop hands the rest of its batch back with [`Mailbox::put_back`].
 ///
 /// A consumer stops on an explicit last message (`ServerMsg::Shutdown`,
 /// `MgrMsg::Shutdown`), which [`Mailbox::close_with`] queues and closes
@@ -35,9 +41,9 @@ pub struct Mailbox<T> {
 struct Queue<T> {
     msgs: VecDeque<T>,
     closed: bool,
-    /// The waiter count: one consumer, so 0 or 1. A producer that wakes
-    /// the consumer clears it, so later producers skip the wake-up the
-    /// consumer already has coming.
+    /// The waiter count: one waiting consumer at most, so 0 or 1. A
+    /// producer that wakes the consumer clears it, so later producers
+    /// skip the wake-up the consumer already has coming.
     waiting: bool,
 }
 
@@ -112,7 +118,7 @@ impl<T> Mailbox<T> {
     /// Block on the condvar once (for at most `left`, if given),
     /// counted as the waiter while blocked.
     fn wait<'a>(&self, mut queue: MutexGuard<'a, Queue<T>>, left: Option<Duration>) -> MutexGuard<'a, Queue<T>> {
-        debug_assert!(!queue.waiting, "a mailbox has one consumer");
+        debug_assert!(!queue.waiting, "a mailbox has one waiting consumer");
         queue.waiting = true;
         let mut queue = match left {
             None => self.ready.wait(queue).unwrap_or_else(PoisonError::into_inner),
@@ -147,6 +153,43 @@ impl<T> Mailbox<T> {
             queue = self.wait(queue, None);
         }
         out.append(&mut queue.msgs);
+    }
+
+    /// Block until a message is queued or the mailbox is closed; take
+    /// nothing.
+    pub fn wait_for_mail(&self) {
+        let mut queue = self.lock();
+        while queue.msgs.is_empty() && !queue.closed {
+            queue = self.wait(queue, None);
+        }
+    }
+
+    /// Put `batch` back at the front, in order, ahead of every message
+    /// queued since it was taken, leaving `batch` empty; then wake the
+    /// consumer if it is waiting. A closed mailbox takes the batch too:
+    /// its messages were accepted before it closed.
+    pub fn put_back(&self, batch: &mut VecDeque<T>) {
+        let wake = {
+            let mut queue = self.lock();
+            batch.append(&mut queue.msgs);
+            std::mem::swap(batch, &mut queue.msgs);
+            std::mem::take(&mut queue.waiting)
+        };
+        if wake {
+            self.ready.notify_one();
+        }
+    }
+
+    /// Whether no message is queued.
+    pub fn is_empty(&self) -> bool {
+        self.lock().msgs.is_empty()
+    }
+
+    /// Whether the consumer is blocked waiting, with no wake-up on its
+    /// way.
+    #[cfg(test)]
+    pub(crate) fn has_waiter(&self) -> bool {
+        self.lock().waiting
     }
 }
 
@@ -317,6 +360,57 @@ mod tests {
             assert!(mb.push(3));
             assert_eq!(consumer.join().expect("consumer"), Some(3));
         });
+    }
+
+    #[test]
+    fn wait_for_mail_returns_once_the_mailbox_closes_with_nothing_queued() {
+        let mb: Mailbox<u32> = Mailbox::new();
+        std::thread::scope(|s| {
+            let consumer = s.spawn(|| {
+                mb.wait_for_mail();
+                let mut out = VecDeque::new();
+                mb.drain_into(false, &mut out);
+                // Closed and empty now: the wait returns at once.
+                mb.wait_for_mail();
+                out
+            });
+            while !mb.lock().waiting {
+                std::thread::yield_now();
+            }
+            assert!(mb.close_with(1));
+            assert_eq!(consumer.join().expect("consumer"), [1]);
+        });
+        assert!(mb.is_empty());
+    }
+
+    #[test]
+    fn a_batch_put_back_goes_ahead_of_later_messages_and_wakes_the_consumer() {
+        let mb: Mailbox<u32> = Mailbox::new();
+        assert!(mb.push(1) && mb.push(2));
+        let mut batch = VecDeque::new();
+        mb.drain_into(false, &mut batch);
+        assert_eq!(batch.pop_front(), Some(1), "1 was served; 2 goes back");
+        assert!(mb.push(3) && mb.close_with(4));
+        mb.put_back(&mut batch);
+        assert!(batch.is_empty(), "the batch is handed over whole");
+        let mut out = VecDeque::new();
+        mb.drain_into(false, &mut out);
+        assert_eq!(out, [2, 3, 4], "ahead of later messages, on a closed mailbox too");
+        let mb: Mailbox<u32> = Mailbox::new();
+        std::thread::scope(|s| {
+            let consumer = s.spawn(|| {
+                mb.wait_for_mail();
+                let mut out = VecDeque::new();
+                mb.drain_into(false, &mut out);
+                out
+            });
+            while !mb.lock().waiting {
+                std::thread::yield_now();
+            }
+            mb.put_back(&mut VecDeque::from([5, 6]));
+            assert_eq!(consumer.join().expect("consumer"), [5, 6]);
+        });
+        assert!(!mb.lock().waiting);
     }
 
     #[test]

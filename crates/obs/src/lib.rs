@@ -94,6 +94,9 @@ metric_enum! {
         /// Conditional overflow invalidations declined because the
         /// table's generation advanced (a writer raced the cleaner).
         SrvInvalidationsDeferred => "srv_invalidations_deferred",
+        /// Requests a live server served on the thread of the client op
+        /// that queued them, not on its worker's own thread.
+        SrvServedInline => "srv_served_inline",
         /// Whole parity groups written by the write planner.
         WrWholeGroups => "wr_whole_groups",
         /// Partial groups that took the RAID5 read-modify-write.
